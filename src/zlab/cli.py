@@ -17,8 +17,9 @@ Four subcommands orchestrate the library:
 Units on the wire: all times in years, day length delta defaults to 1/252,
 variance is annualized; daily-unit realized variance can be annualized at
 ingestion with --annualize (x252).  Exit codes: 1 usage, 2 parse/IO,
-3 numerical nonconvergence, 4 contract violation.  Output files are written
-atomically (temp file + rename), so failures leave no partial outputs.
+3 numerical nonconvergence, 4 contract violation.  Every output file streams
+into a temp file beside it that is renamed on success, so failures leave no
+partial outputs.
 A simple ``key = value`` config file can preload any long-option default,
 and the ZLAB_THREADS environment variable seeds --threads.
 """
@@ -32,6 +33,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -55,12 +57,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, write) -> None:
+    """Stream ``write(fh)`` into a temp file beside ``path``, then rename it.
+
+    The rename waits for ``write`` to return; any exception removes the file.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -68,12 +74,11 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _capture(write_fn, *args) -> str:
-    import io
-
-    buf = io.StringIO()
-    write_fn(*args, buf)
-    return buf.getvalue()
+def _json_writer(payload):
+    def write(fh):
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+    return write
 
 
 def _default_threads() -> int:
@@ -177,7 +182,7 @@ def build_parser() -> _Parser:
     return top
 
 
-def _load_config_defaults(argv: list[str], parser: _Parser) -> list[str]:
+def _load_config_defaults(argv: list[str]) -> list[str]:
     """Pull --config FILE out of argv and turn its lines into leading options."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)
@@ -222,14 +227,10 @@ def _model_inputs(args) -> tuple[mdl.ModelParams, mdl.ForwardVarianceCurve]:
     return params, curve
 
 
-def _emit(args, stem: str, csv_text: str, json_payload) -> Path:
-    out_dir = Path(args.output_dir)
-    if args.format == "csv":
-        path = out_dir / f"{stem}.csv"
-        _write_atomic(path, csv_text)
-    else:
-        path = out_dir / f"{stem}.json"
-        _write_atomic(path, json.dumps(json_payload, indent=2) + "\n")
+def _emit(args, stem: str, write_csv, write_json) -> Path:
+    """Write ``stem.csv`` or ``stem.json``, running only the selected writer."""
+    path = Path(args.output_dir) / f"{stem}.{args.format}"
+    _write_atomic(path, write_csv if args.format == "csv" else write_json)
     return path
 
 
@@ -244,7 +245,7 @@ def _maybe_gnuplot(args, stem: str, title: str, columns: list[tuple[int, str]],
     plots = [f'  "{stem}.csv" using 1:{col} with linespoints title "{name}"'
              for col, name in columns]
     script = "\n".join(lines) + "\nplot \\\n" + ", \\\n".join(plots) + "\n"
-    _write_atomic(Path(args.output_dir) / f"{stem}.gp", script)
+    _write_atomic(Path(args.output_dir) / f"{stem}.gp", lambda fh: fh.write(script))
 
 
 def cmd_empirical(args) -> int:
@@ -268,11 +269,11 @@ def cmd_empirical(args) -> int:
     paths = []
     for index_id, curve in curves:
         safe = index_id.strip(".").replace("/", "_") or "index"
-        paths.append(_emit(args, f"tra_{safe}", _capture(emp.tra_to_csv, curve),
-                           json.loads(_capture(emp.tra_to_json, curve))))
+        paths.append(_emit(args, f"tra_{safe}", partial(emp.tra_to_csv, curve),
+                           partial(emp.tra_to_json, curve)))
     avg = emp.cross_index_average([c for _, c in curves])
-    paths.append(_emit(args, "tra_average", _capture(emp.tra_to_csv, avg),
-                       json.loads(_capture(emp.tra_to_json, avg))))
+    paths.append(_emit(args, "tra_average", partial(emp.tra_to_csv, avg),
+                       partial(emp.tra_to_json, avg)))
     _maybe_gnuplot(args, "tra_average", "asymmetry curve (cross-index average)",
                    [(4, "rho_fwd"), (5, "rho_bwd")])
     delta_total = emp.integrated_difference(avg, int(avg.taus[-1]))
@@ -283,14 +284,10 @@ def cmd_empirical(args) -> int:
     return EXIT_OK
 
 
-def _model_rows(params, curve, t, k_max, delta):
-    zc = mdl.zumbach_curve(params, curve, t, np.arange(1, k_max + 1), delta)
-    return zc
-
-
 def cmd_model(args) -> int:
     params, curve = _model_inputs(args)
-    zc = _model_rows(params, curve, args.t, args.k_max, args.delta)
+    ks = np.arange(1, args.k_max + 1)
+    zc = mdl.zumbach_curve(params, curve, args.t, ks, args.delta)
     header = f"# delta={args.delta!r} t={args.t!r}\n"
     cols = "k,tau_years,zumbach_cov,zumbach_asymptotic"
     lines = [f"{int(k)},{int(k) * args.delta:.12g},{v:.12g},{a:.12g}"
@@ -300,14 +297,14 @@ def cmd_model(args) -> int:
                "zumbach_asymptotic": zc.asymptotic.tolist()}
     if args.compare_h:
         params_h = mdl.ModelParams(hurst=0.5, lam=args.lam, nu=args.nu, rho=args.rho)
-        zc_h = _model_rows(params_h, curve, args.t, args.k_max, args.delta)
+        zc_h = mdl.zumbach_curve(params_h, curve, args.t, ks, args.delta)
         cols += ",zumbach_cov_h05,zumbach_asymptotic_h05"
         lines = [f"{base},{v:.12g},{a:.12g}" for base, v, a in
                  zip(lines, zc_h.values, zc_h.asymptotic)]
         payload["zumbach_cov_h05"] = zc_h.values.tolist()
         payload["zumbach_asymptotic_h05"] = zc_h.asymptotic.tolist()
     csv_text = header + cols + "\n" + "\n".join(lines) + "\n"
-    path = _emit(args, "model_curve", csv_text, payload)
+    path = _emit(args, "model_curve", lambda fh: fh.write(csv_text), _json_writer(payload))
     _maybe_gnuplot(args, "model_curve", "asymmetry covariance vs lag",
                    [(3, "exact"), (4, "small-delta")], logscale=True)
     print(f"Z_t(1) = {zc.values[0]:.6g}  (asymptotic {zc.asymptotic[0]:.6g})")
@@ -344,26 +341,19 @@ def cmd_simulate(args) -> int:
                "fourth_moment_r_se": moments.fourth_moment_r_se,
                "neg_fraction": batch.neg_fraction,
                "weight_checksum": batch.weight_checksum}
-    path = _emit(args, "zumbach_mc", csv_text, payload)
+    path = _emit(args, "zumbach_mc", lambda fh: fh.write(csv_text), _json_writer(payload))
     mom_csv = ("quantity,estimate,std_error\n"
                f"var_sigma2,{moments.var_sigma2:.12g},{moments.var_sigma2_se:.12g}\n"
                f"fourth_moment_r,{moments.fourth_moment_r:.12g},{moments.fourth_moment_r_se:.12g}\n")
-    _emit(args, "moments_mc", mom_csv, {
+    _emit(args, "moments_mc", lambda fh: fh.write(mom_csv), _json_writer({
         "var_sigma2": [moments.var_sigma2, moments.var_sigma2_se],
-        "fourth_moment_r": [moments.fourth_moment_r, moments.fourth_moment_r_se]})
+        "fourth_moment_r": [moments.fourth_moment_r, moments.fourth_moment_r_se]}))
 
     if args.dump_paths:
-        import io
-
-        buf = io.StringIO()
-        sim.export_daily_csv(batch, buf)
-        _write_atomic(Path(args.dump_paths), buf.getvalue())
+        _write_atomic(Path(args.dump_paths), partial(sim.export_daily_csv, batch))
     if args.export_empirical:
-        import io
-
-        buf = io.StringIO()
-        emp.write_generic_csv(emp.series_from_batch(batch), buf)
-        _write_atomic(Path(args.export_empirical), buf.getvalue())
+        _write_atomic(Path(args.export_empirical),
+                      partial(emp.write_generic_csv, emp.series_from_batch(batch)))
 
     print(f"t_day={t_day}  neg_fraction={batch.neg_fraction:.3f}")
     print(f"{'k':>3} {'estimate':>14} {'std_error':>14}")
@@ -397,14 +387,24 @@ def _read_curve_csv(path):
     return meta, data
 
 
+def _check_delta(meta: dict, delta: float, what: str) -> None:
+    if "delta" in meta and not math.isclose(float(meta["delta"]), delta, rel_tol=1e-9):
+        raise ContractError(
+            f"day-length mismatch: {what} has delta={meta['delta']}, "
+            f"--delta is {delta!r}; rescaling is not implied")
+
+
+def _on_lags(k: np.ndarray, lags: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values`` (indexed by ``lags``) read at each lag of ``k``; NaN where absent."""
+    lookup = dict(zip(lags.astype(int).tolist(), values.tolist()))
+    return np.array([lookup.get(int(kk), np.nan) for kk in k])
+
+
 def cmd_compare(args) -> int:
     meta, model_data = _read_curve_csv(args.model_file)
     if "k" not in model_data:
         raise ParseError(f"{args.model_file}: missing k column")
-    if "delta" in meta and not math.isclose(float(meta["delta"]), args.delta, rel_tol=1e-9):
-        raise ContractError(
-            f"day-length mismatch: model file has delta={meta['delta']}, "
-            f"--delta is {args.delta!r}; rescaling is not implied")
+    _check_delta(meta, args.delta, "model file")
     k = model_data["k"].astype(int)
     cols = {"k": k, "tau_years": k * args.delta,
             "model_cov": model_data["zumbach_cov"],
@@ -415,24 +415,16 @@ def cmd_compare(args) -> int:
         _, emp_data = _read_curve_csv(args.empirical_file)
         if "tau" not in emp_data or "z" not in emp_data:
             raise ParseError(f"{args.empirical_file}: expected tau and z columns")
-        tau = emp_data["tau"].astype(int)
-        lookup = dict(zip(tau.tolist(), emp_data["z"].tolist()))
-        emp_z = np.array([lookup.get(int(kk), np.nan) for kk in k])
+        emp_z = _on_lags(k, emp_data["tau"], emp_data["z"])
     cols["empirical_z"] = emp_z
 
     mc_est = np.full(k.size, np.nan)
     mc_se = np.full(k.size, np.nan)
     if args.mc_file:
         mc_meta, mc_data = _read_curve_csv(args.mc_file)
-        if "delta" in mc_meta and not math.isclose(
-                float(mc_meta["delta"]), args.delta, rel_tol=1e-9):
-            raise ContractError(
-                f"day-length mismatch: MC file has delta={mc_meta['delta']}, "
-                f"--delta is {args.delta!r}")
-        lookup = dict(zip(mc_data["k"].astype(int).tolist(), mc_data["estimate"].tolist()))
-        se_lookup = dict(zip(mc_data["k"].astype(int).tolist(), mc_data["std_error"].tolist()))
-        mc_est = np.array([lookup.get(int(kk), np.nan) for kk in k])
-        mc_se = np.array([se_lookup.get(int(kk), np.nan) for kk in k])
+        _check_delta(mc_meta, args.delta, "MC file")
+        mc_est = _on_lags(k, mc_data["k"], mc_data["estimate"])
+        mc_se = _on_lags(k, mc_data["k"], mc_data["std_error"])
     cols["mc_estimate"] = mc_est
     cols["mc_std_error"] = mc_se
 
@@ -453,7 +445,7 @@ def cmd_compare(args) -> int:
     csv_text = ",".join(names) + "\n" + "\n".join(lines) + "\n"
     payload = {name: [None if isinstance(v, float) and math.isnan(v) else float(v)
                       for v in cols[name]] for name in names}
-    path = _emit(args, "comparison", csv_text, payload)
+    path = _emit(args, "comparison", lambda fh: fh.write(csv_text), _json_writer(payload))
     print(f"joined {k.size} lags")
     print(f"wrote {path}")
     return EXIT_OK
@@ -471,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _load_config_defaults(argv, parser)
+        argv = _load_config_defaults(argv)
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
     except ParseError as exc:

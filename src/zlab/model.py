@@ -50,7 +50,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ContractError, QuadratureError
-from .special import MlParams, density_sq_tail, ml_cdf, ml_cdf_grid
+from .special import MlParams, density_sq_tail, ml_cdf, ml_cdf_grid, ml_series_grid
 
 __all__ = [
     "TRADING_DAY",
@@ -178,7 +178,8 @@ class ForwardVarianceCurve:
         grid = np.unique(np.concatenate(
             [[a, b], self._times[(self._times > a) & (self._times < b)]]))
         vals = self(grid)
-        return float(np.trapezoid(vals, grid))
+        # explicit trapezoid sum: np.trapezoid needs numpy >= 2
+        return float((np.diff(grid) * (vals[1:] + vals[:-1]) / 2.0).sum())
 
     def _kinks_between(self, lo: float, hi: float) -> np.ndarray:
         if self._flat:
@@ -231,19 +232,6 @@ def _gl_fixed(fn, a, b):
     return half * float(np.dot(_GL_WEIGHTS, fn(x)))
 
 
-def _e_alpha_alpha_grid(alpha: float, z: np.ndarray) -> np.ndarray:
-    # sum_k (-z)^k / Gamma(alpha k + alpha) for small nonnegative z (vectorised)
-    acc = np.zeros_like(z)
-    power = np.ones_like(z)
-    for k in range(160):
-        g = math.gamma(alpha * k + alpha)
-        acc += power / g
-        power *= -z
-        if not np.any(np.abs(power) > 1e-20 * g):
-            break
-    return acc
-
-
 def _f_conv_curve(params: ModelParams, curve: ForwardVarianceCurve,
                   upper: float, t_arg: float) -> float:
     """int_0^upper f(u) xi0(t_arg - u) du with the u = v^(1/alpha) substitution.
@@ -264,7 +252,7 @@ def _f_conv_curve(params: ModelParams, curve: ForwardVarianceCurve,
 
     def seg(v):
         u = v ** (1.0 / alpha)
-        return _e_alpha_alpha_grid(alpha, lam * v) * curve(t_arg - u)
+        return ml_series_grid(alpha, 0.0, lam * v) * curve(t_arg - u)
 
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -490,7 +478,7 @@ def fourth_moment_r(params: ModelParams, curve: ForwardVarianceCurve, t: float,
 
         def seg(v):
             u = v ** (1.0 / alpha)
-            return _e_alpha_alpha_grid(alpha, lam * v) * fn(u)
+            return ml_series_grid(alpha, 0.0, lam * v) * fn(u)
 
         return lam / alpha * _gl_fixed(seg, 0.0, v_hi)
 

@@ -26,11 +26,13 @@ part runs as matrix products over path chunks; the weight table is a plain
 array so an FFT or multi-factor Markovian engine can replace the summation
 later without touching the interface.
 
-Every path owns an RNG stream derived from (seed, path index), making runs
-bit-reproducible for a fixed configuration regardless of chunking; with
+Every path owns an RNG stream derived from (seed, path index); with
 ``antithetic`` enabled, paths 2i and 2i+1 share stream i with negated
-normals.  Path generation is embarrassingly parallel; aggregation is a
-deterministic reduction over chunks.
+normals.  Runs are bit-reproducible for a fixed configuration, including the
+``memory_budget_mb`` that sets the path chunking, on a fixed numpy/BLAS
+build; another chunking gives statistically equivalent, not equal, paths.
+Path generation is embarrassingly parallel; aggregation is a deterministic
+reduction over chunks.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ __all__ = [
     "export_daily_csv",
 ]
 
+_BLOCK_STEPS = 256  # convolution block length; the paths depend on it (summation order)
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -75,10 +79,9 @@ class SimConfig:
     seed: int = 0
     antithetic: bool = False
     memory_budget_mb: int = 1024
-    block_steps: int = 256
 
     def __post_init__(self) -> None:
-        for name in ("n_paths", "steps_per_day", "n_days", "block_steps"):
+        for name in ("n_paths", "steps_per_day", "n_days"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.delta <= 0.0:
@@ -185,14 +188,14 @@ def _simulate_chunk(xi_step, w, config, params, lo, hi, day_r, day_s2,
     s2_acc = np.zeros((n_chunk, config.n_days))
     neg = 0
 
-    w_pad = np.concatenate([w, np.zeros(config.block_steps)])
-    windows = np.lib.stride_tricks.sliding_window_view(w_pad, config.block_steps)
+    w_pad = np.concatenate([w, np.zeros(_BLOCK_STEPS)])
+    windows = np.lib.stride_tricks.sliding_window_view(w_pad, _BLOCK_STEPS)
 
     # overflowing states are caught by the finiteness guard below; numpy's
     # intermediate warnings would only add noise on the way there
     with np.errstate(over="ignore", invalid="ignore"):
-        for i0 in range(0, n, config.block_steps):
-            hi_blk = min(i0 + config.block_steps, n)
+        for i0 in range(0, n, _BLOCK_STEPS):
+            hi_blk = min(i0 + _BLOCK_STEPS, n)
             width = hi_blk - i0
             if i0:
                 # materialise the reversed window view: matmul on an
@@ -232,10 +235,11 @@ def simulate_paths(params: ModelParams, curve: ForwardVarianceCurve,
                    config: SimConfig, threads: int = 1) -> PathBatch:
     """Generate daily return / integrated-variance aggregates.
 
-    Deterministic for a fixed (config, params, curve) regardless of chunking
-    or thread count.  The cross-path mean of the raw variance state equals
-    xi0(t) in expectation at every grid time (the stochastic term is a
-    martingale increment sum), which ``v_day_mean`` tracks per day start.
+    Bit-identical for a fixed (config, params, curve) and build, whatever the
+    thread count; the chunking (from ``memory_budget_mb``) is part of config.
+    The cross-path mean of the raw variance state equals xi0(t) in
+    expectation at every grid time (the stochastic term is a martingale
+    increment sum), which ``v_day_mean`` tracks per day start.
 
     Parameters
     ----------

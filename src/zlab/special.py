@@ -243,6 +243,23 @@ def ml_cdf(p: MlParams, x: float) -> float:
     return 1.0 - _spectral_quad(alpha, z ** (1.0 / alpha), 0.0)
 
 
+def ml_series_grid(alpha: float, shift: float, z: np.ndarray) -> np.ndarray:
+    """Vectorised E_{a,a+shift}(-z) = sum_k (-z)^k / Gamma(a*k + a + shift).
+
+    For 0 <= z <= 9.2**alpha only, like ``_ml_series``.  The kernel weights
+    depend bit for bit on the gamma argument's evaluation order.
+    """
+    acc = np.zeros_like(z)
+    power = np.ones_like(z)
+    for k in range(160):
+        g = math.gamma(alpha * k + alpha + shift)
+        acc += power / g
+        power *= -z
+        if not np.any(np.abs(power) > 1e-20 * g):
+            break
+    return acc
+
+
 def ml_cdf_grid(p: MlParams, x: np.ndarray) -> np.ndarray:
     """Vectorised ``ml_cdf`` over a nonnegative array.
 
@@ -263,15 +280,7 @@ def ml_cdf_grid(p: MlParams, x: np.ndarray) -> np.ndarray:
     small = z <= _SERIES_EDGE**alpha
     if np.any(small):
         zs = z[small]
-        acc = np.zeros_like(zs)
-        power = np.ones_like(zs)
-        for k in range(160):
-            g = math.gamma(alpha * k + alpha + 1.0)
-            acc += power / g
-            power *= -zs
-            if not np.any(np.abs(power) > 1e-20 * g):
-                break
-        out[small] = zs * acc
+        out[small] = zs * ml_series_grid(alpha, 1.0, zs)
     for i in np.nonzero(~small)[0]:
         out[i] = ml_cdf(p, float(x[i]))
     return out

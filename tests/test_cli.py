@@ -1,5 +1,6 @@
 """Command line front end tests (exit codes, files, determinism, flags)."""
 
+import io
 import json
 import math
 import os
@@ -7,6 +8,9 @@ import os
 import numpy as np
 import pytest
 
+from zlab import empirical as emp
+from zlab import model as mdl
+from zlab import simulate as sim
 from zlab.cli import main
 
 SIM_SMALL = ["simulate", "--paths", "300", "--steps-per-day", "3", "--days", "30",
@@ -122,6 +126,28 @@ class TestSimulateCommand:
         header, rows = read_rows(synth)
         assert header == ["index_id", "date", "r", "s2"]
 
+    def test_dump_matches_library_writer(self, tmp_path):
+        dump = tmp_path / "paths.csv"
+        assert run(tmp_path, [*SIM_SMALL, "--dump-paths", str(dump)]) == 0
+        params = mdl.ModelParams(hurst=0.05, lam=0.3, nu=0.45, rho=-0.7)
+        config = sim.SimConfig(n_paths=300, steps_per_day=3, n_days=30, seed=11)
+        batch = sim.simulate_paths(params, mdl.ForwardVarianceCurve.flat(0.025), config)
+        buf = io.StringIO()
+        sim.export_daily_csv(batch, buf)
+        assert dump.read_text() == buf.getvalue()
+
+    def test_writer_failure_leaves_no_file(self, tmp_path, monkeypatch):
+        def broken(batch, fileobj):
+            fileobj.write("path_id,day,r,sigma2\n")
+            fileobj.write("0,1,0.0,0.0\n" * 1000)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(sim, "export_daily_csv", broken)
+        dump = tmp_path / "dump" / "paths.csv"
+        assert run(tmp_path, [*SIM_SMALL, "--dump-paths", str(dump)]) == 2
+        assert not dump.exists()
+        assert not list(dump.parent.glob("*.tmp"))
+
     def test_horizon_guard(self, tmp_path):
         code = run(tmp_path, ["simulate", "--paths", "10", "--steps-per-day", "2",
                               "--days", "10", "--t-day", "9", "--k-max", "5"])
@@ -162,6 +188,20 @@ class TestEmpiricalCommand:
         assert main(["--threads", "2", "empirical", "-i", str(synth_csv),
                      "--tau-max", "8", "--output-dir", str(out_b)]) == 0
         assert (out_a / "tra_average.csv").read_text() == (out_b / "tra_average.csv").read_text()
+
+    def test_json_matches_library_writer(self, tmp_path, synth_csv):
+        out = tmp_path / "j"
+        assert main(["empirical", "-i", str(synth_csv), "--tau-max", "6",
+                     "--format", "json", "--output-dir", str(out)]) == 0
+        curves = {s.index_id: emp.rho_curve(s, 6) for s in emp.ingest(synth_csv)}
+        curves["average"] = emp.cross_index_average(
+            [curves[name] for name in sorted(curves)])
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            f"tra_{name}.json" for name in curves)
+        for name, curve in curves.items():
+            buf = io.StringIO()
+            emp.tra_to_json(curve, buf)
+            assert (out / f"tra_{name}.json").read_text() == buf.getvalue()
 
     def test_winsorize_flag(self, tmp_path, synth_csv):
         out = tmp_path / "w"

@@ -92,6 +92,16 @@ class TestTypes:
         assert pl.integral(0.0, 2.0) == pytest.approx(0.02 / 2 + 0.04 + 0.03 / 2 + 0.035 - 0.035)
         assert pl.integral(0.0, 2.0) == pytest.approx(0.03 + 0.035)
 
+    def test_piecewise_integral_without_np_trapezoid(self, monkeypatch):
+        # numpy < 2 has no np.trapezoid; the documented floor is numpy 1.24
+        monkeypatch.delattr(np, "trapezoid", raising=False)
+        pl = ForwardVarianceCurve.piecewise_linear([0.0, 1.0, 2.0], [0.02, 0.04, 0.03])
+        # knots inside [0.5, 1.5] and flat extrapolation beyond t = 2
+        assert pl.integral(0.5, 1.5) == pytest.approx(
+            0.5 * (0.03 + 0.04) / 2 + 0.5 * (0.04 + 0.035) / 2, rel=1e-14)
+        assert pl.integral(1.5, 3.0) == pytest.approx(
+            0.5 * (0.035 + 0.03) / 2 + 1.0 * 0.03, rel=1e-14)
+
     def test_zumbach_curve_invariants(self):
         with pytest.raises(ContractError):
             ZumbachCurve(delta=D, t=0.0, lags=np.array([1]), values=np.array([1.0]))
