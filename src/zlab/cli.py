@@ -394,6 +394,12 @@ def _check_delta(meta: dict, delta: float, what: str) -> None:
             f"--delta is {delta!r}; rescaling is not implied")
 
 
+def _require_columns(path, data: dict, *names: str) -> None:
+    missing = [name for name in names if name not in data]
+    if missing:
+        raise ParseError(f"{path}: missing column(s) {', '.join(missing)}")
+
+
 def _on_lags(k: np.ndarray, lags: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``values`` (indexed by ``lags``) read at each lag of ``k``; NaN where absent."""
     lookup = dict(zip(lags.astype(int).tolist(), values.tolist()))
@@ -402,8 +408,7 @@ def _on_lags(k: np.ndarray, lags: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def cmd_compare(args) -> int:
     meta, model_data = _read_curve_csv(args.model_file)
-    if "k" not in model_data:
-        raise ParseError(f"{args.model_file}: missing k column")
+    _require_columns(args.model_file, model_data, "k", "zumbach_cov", "zumbach_asymptotic")
     _check_delta(meta, args.delta, "model file")
     k = model_data["k"].astype(int)
     cols = {"k": k, "tau_years": k * args.delta,
@@ -413,8 +418,7 @@ def cmd_compare(args) -> int:
     emp_z = np.full(k.size, np.nan)
     if args.empirical_file:
         _, emp_data = _read_curve_csv(args.empirical_file)
-        if "tau" not in emp_data or "z" not in emp_data:
-            raise ParseError(f"{args.empirical_file}: expected tau and z columns")
+        _require_columns(args.empirical_file, emp_data, "tau", "z")
         emp_z = _on_lags(k, emp_data["tau"], emp_data["z"])
     cols["empirical_z"] = emp_z
 
@@ -422,6 +426,7 @@ def cmd_compare(args) -> int:
     mc_se = np.full(k.size, np.nan)
     if args.mc_file:
         mc_meta, mc_data = _read_curve_csv(args.mc_file)
+        _require_columns(args.mc_file, mc_data, "k", "estimate", "std_error")
         _check_delta(mc_meta, args.delta, "MC file")
         mc_est = _on_lags(k, mc_data["k"], mc_data["estimate"])
         mc_se = _on_lags(k, mc_data["k"], mc_data["std_error"])

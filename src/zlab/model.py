@@ -21,7 +21,11 @@ Implemented quantities
 * ``zumbach_asymptotic``   -- its small-delta equivalent
   2 (rho nu)^2 delta^(2 alpha + 1) g_alpha(k) xi0(t), with the universal lag
   profile ``g_alpha``;
-* ``var_sigma2`` / ``fourth_moment_r``          -- finite-t moments;
+* ``var_sigma2`` / ``fourth_moment_r``          -- finite-t moments; the
+  vol-of-vol part of E[r^4] is exactly 3 Var[sigma2] (Fubini and one
+  integration by parts turn its convolution term into the edge integral of
+  Var[sigma2]), so ``fourth_moment_r`` adds 3 * ``var_sigma2`` to its
+  leverage and Gaussian terms;
 * ``stationary_var_sigma2`` / ``stationary_fourth_moment_r`` -- their
   t -> infinity limits under xi0(t) -> xi_inf;
 * ``zumbach_correl``       -- the correlation-normalised asymmetry in the
@@ -29,9 +33,11 @@ Implemented quantities
   ``zumbach_correl_small_delta``.
 
 Quadrature policy: integrands inherit an integrable u^(alpha-1) singularity
-from the density at the origin; those integrals are computed after the
-substitution u = v^(1/alpha) which makes the integrand smooth, then handed
-to adaptive Gauss-Kronrod with relative tolerance 1e-8 and absolute floor
+from the density at the origin; integrals against the density (or the
+fractional kernel of ``g0``) go through one helper, ``_kernel_integral``,
+which substitutes u = v^(1/alpha) to make the integrand smooth and applies a
+fixed Gauss-Legendre rule between curve kinks.  Outer integrals go to
+adaptive Gauss-Kronrod with relative tolerance 1e-8 and absolute floor
 1e-16.  Semi-infinite integrals are truncated where the integrand's
 algebraic tail is analytically integrable and the closed-form tail estimate
 is added back.  Degenerate inputs (rho = 0 or nu = 0) short-circuit to exact
@@ -50,7 +56,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ContractError, QuadratureError
-from .special import MlParams, density_sq_tail, ml_cdf, ml_cdf_grid, ml_series_grid
+from .special import MlParams, density_sq_tail, ml_cdf, ml_series_grid
 
 __all__ = [
     "TRADING_DAY",
@@ -115,21 +121,20 @@ class ModelParams:
 class ForwardVarianceCurve:
     """Forward variance curve xi0(t), t >= 0, in variance/year units.
 
-    Either flat or continuous piecewise-linear between knots with constant
-    extrapolation beyond them.  Instances are immutable; call them like a
-    function (scalar or array argument).
+    Continuous piecewise-linear between knots with constant extrapolation
+    beyond them; a single knot makes the curve flat.  Instances are
+    immutable; call them like a function (scalar or array argument).
     """
 
-    def __init__(self, times: np.ndarray, values: np.ndarray, flat: bool):
+    def __init__(self, times: np.ndarray, values: np.ndarray):
         self._times = times
         self._values = values
-        self._flat = flat
 
     @classmethod
     def flat(cls, level: float) -> "ForwardVarianceCurve":
         if not level > 0.0:
             raise ContractError(f"flat level must be positive, got {level}")
-        return cls(np.array([0.0]), np.array([float(level)]), True)
+        return cls(np.array([0.0]), np.array([float(level)]))
 
     @classmethod
     def piecewise_linear(cls, times, values) -> "ForwardVarianceCurve":
@@ -143,15 +148,15 @@ class ForwardVarianceCurve:
             raise ContractError("xi0 must be positive at every knot")
         if t.size == 1:
             return cls.flat(float(v[0]))
-        return cls(t.copy(), v.copy(), False)
+        return cls(t.copy(), v.copy())
 
     @property
     def is_flat(self) -> bool:
-        return self._flat
+        return self._times.size == 1
 
     @property
     def level(self) -> float:
-        if not self._flat:
+        if not self.is_flat:
             raise ContractError("level is only defined for flat curves")
         return float(self._values[0])
 
@@ -163,18 +168,13 @@ class ForwardVarianceCurve:
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr < 0.0):
             raise ContractError("xi0 is only defined for t >= 0")
-        if self._flat:
-            out = np.full_like(t_arr, self._values[0], dtype=float)
-        else:
-            out = np.interp(t_arr, self._times, self._values)
+        out = np.interp(t_arr, self._times, self._values)
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
     def integral(self, a: float, b: float) -> float:
         """Exact integral of the curve over [a, b] (trapezoid across knots)."""
         if b < a or a < 0.0:
             raise ContractError(f"bad integration range [{a}, {b}]")
-        if self._flat:
-            return self._values[0] * (b - a)
         grid = np.unique(np.concatenate(
             [[a, b], self._times[(self._times > a) & (self._times < b)]]))
         vals = self(grid)
@@ -182,10 +182,7 @@ class ForwardVarianceCurve:
         return float((np.diff(grid) * (vals[1:] + vals[:-1]) / 2.0).sum())
 
     def _kinks_between(self, lo: float, hi: float) -> np.ndarray:
-        if self._flat:
-            return np.empty(0)
-        inside = self._times[(self._times > lo) & (self._times < hi)]
-        return inside
+        return self._times[(self._times > lo) & (self._times < hi)]
 
 
 @dataclass(frozen=True)
@@ -223,41 +220,40 @@ def _checked_quad(fn, a, b, *, points=None, epsrel=1e-8, epsabs=1e-16, limit=400
     return val
 
 
-def _gl_fixed(fn, a, b):
-    # fixed-order Gauss-Legendre on [a, b] for smooth integrands
-    if b <= a:
+def _kernel_integral(alpha: float, lam: float, upper: float, fn, cuts=()) -> float:
+    """int_0^upper u^(alpha-1) E_{alpha,alpha}(-lam u^alpha) fn(u) du.
+
+    lam times this kernel is the density f; lam = 0 gives the fractional
+    kernel u^(alpha-1) / Gamma(alpha), because E_{alpha,alpha}(0) =
+    1/Gamma(alpha).  The substitution u = v^(1/alpha) removes the u^(alpha-1)
+    singularity, leaving E_{alpha,alpha}(-lam v) fn(v^(1/alpha)) / alpha,
+    which fixed 48-node Gauss-Legendre integrates on each segment between
+    the ``cuts``: the kinks of fn in (0, upper).  fn maps arrays to arrays.
+    """
+    if upper <= 0.0:
         return 0.0
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    x = mid + half * _GL_NODES
-    return half * float(np.dot(_GL_WEIGHTS, fn(x)))
+    v_hi = upper**alpha
+    cut_v = np.clip(np.asarray(cuts, dtype=float) ** alpha, 0.0, v_hi)
+    edges = np.unique(np.concatenate([[0.0, v_hi], cut_v]))
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        v = mid + half * _GL_NODES
+        vals = ml_series_grid(alpha, 0.0, lam * v) * fn(v ** (1.0 / alpha))
+        total += half * float(np.dot(_GL_WEIGHTS, vals))
+    return total / alpha
 
 
 def _f_conv_curve(params: ModelParams, curve: ForwardVarianceCurve,
                   upper: float, t_arg: float) -> float:
-    """int_0^upper f(u) xi0(t_arg - u) du with the u = v^(1/alpha) substitution.
-
-    After substituting, f(u) du = (lam/alpha) E_{a,a}(-lam v) dv and the
-    integrand is smooth except at curve kinks, which become explicit
-    breakpoints.  Flat curves reduce to xi0 * F(upper) exactly.
-    """
+    """int_0^upper f(u) xi0(t_arg - u) du; xi0 * F(upper) on a flat curve."""
     if upper <= 0.0:
         return 0.0
-    alpha, lam = params.alpha, params.lam
     if curve.is_flat:
         return curve.level * ml_cdf(params.ml(), upper)
-    v_hi = upper**alpha
     kinks = curve._kinks_between(t_arg - upper, t_arg)
-    breaks = np.unique(np.clip((t_arg - kinks) ** alpha, 0.0, v_hi)) if kinks.size else np.empty(0)
-    edges = np.unique(np.concatenate([[0.0, v_hi], breaks]))
-
-    def seg(v):
-        u = v ** (1.0 / alpha)
-        return ml_series_grid(alpha, 0.0, lam * v) * curve(t_arg - u)
-
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        total += _gl_fixed(seg, lo, hi)
-    return lam / alpha * total
+    return params.lam * _kernel_integral(params.alpha, params.lam, upper,
+                                         lambda u: curve(t_arg - u), t_arg - kinks)
 
 
 def g0(params: ModelParams, curve: ForwardVarianceCurve, t: float) -> float:
@@ -267,22 +263,11 @@ def g0(params: ModelParams, curve: ForwardVarianceCurve, t: float) -> float:
     """
     if t < 0.0:
         raise ContractError(f"t must be >= 0, got {t}")
-    alpha, lam = params.alpha, params.lam
     if t == 0.0:
         return curve(0.0)
-    if curve.is_flat:
-        return curve.level * (1.0 + lam * t**alpha / math.gamma(alpha + 1.0))
-    # int_0^t (t-s)^(a-1) xi0(s) ds = (1/a) int_0^(t^a) xi0(t - y^(1/a)) dy
-    y_hi = t**alpha
     kinks = curve._kinks_between(0.0, t)
-    breaks = np.unique((t - kinks) ** alpha) if kinks.size else np.empty(0)
-    edges = np.unique(np.concatenate([[0.0, y_hi], np.clip(breaks, 0.0, y_hi)]))
-
-    def seg(y):
-        return curve(t - y ** (1.0 / alpha))
-
-    frac_int = sum(_gl_fixed(seg, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])) / alpha
-    return curve(t) + lam / math.gamma(alpha) * frac_int
+    return curve(t) + params.lam * _kernel_integral(
+        params.alpha, 0.0, t, lambda u: curve(t - u), t - kinks)
 
 
 def g_alpha(alpha: float, k: int) -> float:
@@ -332,13 +317,6 @@ def zumbach_cov(params: ModelParams, curve: ForwardVarianceCurve, t: float,
         return 0.0
     p = params.ml()
     pref = 2.0 * (params.rho * params.nu / params.lam) ** 2
-    if curve.is_flat:
-        level = curve.level
-
-        def integrand(s):
-            return _delta_cdf(p, s, k, delta) * ml_cdf(p, delta - s)
-
-        return pref * level * _checked_quad(integrand, 0.0, delta)
 
     def integrand(s):
         return _delta_cdf(p, s, k, delta) * _f_conv_curve(params, curve, delta - s, t - s)
@@ -443,72 +421,40 @@ def fourth_moment_r(params: ModelParams, curve: ForwardVarianceCurve, t: float,
                     delta: float = TRADING_DAY) -> float:
     """Fourth moment of the daily return at time t >= delta.
 
-    Four contributions: the rho^2 leverage term (a double convolution of the
-    density against the curve), the Gaussian-with-deterministic-variance term
-    (3 (int xi0)^2 for flat curves), and two vol-of-vol terms which reduce to
-    weighted integrals of F^2 and (F(.+delta) - F(.))^2; at nu = 0 the value
-    collapses to the Gaussian fourth moment.
+    With c = t - delta,
+
+        E[r^4] = 12 (rho nu/lam)^2 L + G + 3 var_sigma2(t, delta),
+
+    where L = int_0^delta ds int_0^s f(u) int_0^(s-u) f(x) xi0(c+s-u-x) dx du
+    is the leverage term and G = 6 int_0^delta xi0(c+s) int_c^(c+s) xi0 ds
+    the Gaussian term with deterministic variance (3 xi0^2 delta^2 on a
+    flat curve).  The two vol-of-vol terms add up to exactly 3 Var[sigma2]:
+    by Fubini and one integration by parts,
+    int_0^delta ds int_0^s f(u) F(u) xi0(c+s-u) du = (1/2) int_0^delta
+    F(u)^2 xi0(t-u) du, which is the edge integral of ``var_sigma2``, and the
+    other term is its main integral.  At nu = 0 only G remains.
     """
     if delta <= 0.0 or t < delta:
         raise ContractError(f"need delta > 0 and t >= delta, got t={t}, delta={delta}")
     lam, nu, rho = params.lam, params.nu, params.rho
-    p = params.ml()
-    if curve.is_flat:
-        level = curve.level
-        term2 = 3.0 * level**2 * delta**2
-        if nu == 0.0:
-            return term2
-        term1 = 0.0 if rho == 0.0 else \
-            12.0 * (rho * nu / lam) ** 2 * level * _int_cdf_bilinear(p, delta)
-        term3 = 3.0 * (nu / lam) ** 2 * level * _int_sq_cdf(p, delta)
-        term4 = 3.0 * (nu / lam) ** 2 * level * (
-            _int_sq_cdf_increment(p, delta, t - delta) if t > delta else 0.0)
-        return term1 + term2 + term3 + term4
-
-    term2 = 6.0 * _checked_quad(
-        lambda s: curve(s + t - delta) * curve.integral(t - delta, s + t - delta),
-        0.0, delta, epsabs=1e-300, epsrel=1e-10)
+    c = t - delta
+    gauss = 6.0 * _checked_quad(lambda s: curve(c + s) * curve.integral(c, c + s),
+                                0.0, delta, epsabs=1e-300, epsrel=1e-10)
     if nu == 0.0:
-        return term2
-    alpha = params.alpha
-
-    def mid_sub(fn, s_val):
-        # int_0^s f(u) fn(u) du via u = v^(1/alpha)
-        v_hi = s_val**alpha
-
-        def seg(v):
-            u = v ** (1.0 / alpha)
-            return ml_series_grid(alpha, 0.0, lam * v) * fn(u)
-
-        return lam / alpha * _gl_fixed(seg, 0.0, v_hi)
-
+        return gauss
     if rho == 0.0:
-        term1 = 0.0
+        leverage = 0.0
+    elif curve.is_flat:
+        leverage = curve.level * _int_cdf_bilinear(params.ml(), delta)
     else:
-        def t1_outer(s_val):
-            return mid_sub(
-                lambda u: _f_conv_curve(params, curve, s_val - u, s_val - u + t - delta)
-                if np.ndim(u) == 0 else np.array(
-                    [_f_conv_curve(params, curve, s_val - ui, s_val - ui + t - delta)
-                     for ui in u]), s_val)
+        def inner(s):
+            # int_0^s f(u) int_0^(s-u) f(x) xi0(c+s-u-x) dx du on a fixed rule
+            return lam * _kernel_integral(params.alpha, lam, s, lambda u: np.array(
+                [_f_conv_curve(params, curve, s - ui, c + s - ui) for ui in u]))
 
-        term1 = 12.0 * (rho * nu / lam) ** 2 * _checked_quad(
-            t1_outer, 0.0, delta, epsrel=1e-8, epsabs=1e-300)
-
-    def t3_outer(s_val):
-        def fn(u):
-            u_arr = np.atleast_1d(u)
-            cdfs = ml_cdf_grid(p, u_arr)
-            xi = np.array([curve(s_val + t - delta - ui) for ui in u_arr])
-            out = cdfs * xi
-            return out if np.ndim(u) else float(out[0])
-        return mid_sub(fn, s_val)
-
-    term3 = 6.0 * (nu / lam) ** 2 * _checked_quad(
-        t3_outer, 0.0, delta, epsrel=1e-8, epsabs=1e-300)
-    term4 = 3.0 * (nu / lam) ** 2 * (_int_sq_cdf_increment(
-        p, delta, t - delta, weight=lambda u: curve(t - delta - u)) if t > delta else 0.0)
-    return term1 + term2 + term3 + term4
+        leverage = _checked_quad(inner, 0.0, delta, epsrel=1e-8, epsabs=1e-300)
+    return (12.0 * (rho * nu / lam) ** 2 * leverage + gauss
+            + 3.0 * var_sigma2(params, curve, t, delta))
 
 
 def stationary_var_sigma2(params: ModelParams, xi_inf: float,
@@ -535,24 +481,20 @@ def stationary_fourth_moment_r(params: ModelParams, xi_inf: float,
     """Limit of the return fourth moment as t -> infinity.
 
     xi_inf 12 (rho nu/lam)^2 int_0^delta F(u) F(delta-u) du + 3 xi_inf^2 delta^2
-    + 3 (nu/lam)^2 xi_inf [ int_0^delta F^2 + int_0^inf (F(.+delta)-F(.))^2 ];
-    equivalent for small delta to 3 xi_inf^2 delta^2 + 3 (nu/lam)^2 xi_inf
-    delta^2 * l2_norm_f_squared.
+    + 3 stationary_var_sigma2; equivalent for small delta to
+    3 xi_inf^2 delta^2 + 3 (nu/lam)^2 xi_inf delta^2 * l2_norm_f_squared.
     """
     if not xi_inf > 0.0:
         raise ContractError(f"xi_inf must be positive, got {xi_inf}")
     if delta <= 0.0:
         raise ContractError(f"delta must be positive, got {delta}")
     nu, lam, rho = params.nu, params.lam, params.rho
-    term2 = 3.0 * xi_inf**2 * delta**2
+    gauss = 3.0 * xi_inf**2 * delta**2
     if nu == 0.0:
-        return term2
-    p = params.ml()
-    term1 = 0.0 if rho == 0.0 else \
-        12.0 * (rho * nu / lam) ** 2 * xi_inf * _int_cdf_bilinear(p, delta)
-    rest = 3.0 * (nu / lam) ** 2 * xi_inf * (
-        _int_sq_cdf(p, delta) + _int_sq_cdf_increment_inf(p, delta))
-    return term1 + term2 + rest
+        return gauss
+    leverage = 0.0 if rho == 0.0 else \
+        12.0 * (rho * nu / lam) ** 2 * xi_inf * _int_cdf_bilinear(params.ml(), delta)
+    return leverage + gauss + 3.0 * stationary_var_sigma2(params, xi_inf, delta)
 
 
 def zumbach_correl(params: ModelParams, xi_inf: float, k: int,

@@ -69,7 +69,8 @@ class SimConfig:
     delta is the day length in years; the step grid has
     n_days * steps_per_day points.  The memory budget bounds the per-chunk
     scratch buffers (two step-grid arrays per path), and chunking is derived
-    from it automatically.
+    from it automatically.  The convolution's weight table, n_steps x 256
+    float64 values shared by all chunks, sits outside the budget.
     """
 
     n_paths: int
@@ -167,7 +168,7 @@ def _path_normals(config: SimConfig, path_index: int, n: int) -> np.ndarray:
     return -z if flip else z
 
 
-def _simulate_chunk(xi_step, w, config, params, lo, hi, day_r, day_s2,
+def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
                     v_sum, v_sumsq):
     n = config.n_steps()
     n_chunk = hi - lo
@@ -188,9 +189,6 @@ def _simulate_chunk(xi_step, w, config, params, lo, hi, day_r, day_s2,
     s2_acc = np.zeros((n_chunk, config.n_days))
     neg = 0
 
-    w_pad = np.concatenate([w, np.zeros(_BLOCK_STEPS)])
-    windows = np.lib.stride_tricks.sliding_window_view(w_pad, _BLOCK_STEPS)
-
     # overflowing states are caught by the finiteness guard below; numpy's
     # intermediate warnings would only add noise on the way there
     with np.errstate(over="ignore", invalid="ignore"):
@@ -198,11 +196,7 @@ def _simulate_chunk(xi_step, w, config, params, lo, hi, day_r, day_s2,
             hi_blk = min(i0 + _BLOCK_STEPS, n)
             width = hi_blk - i0
             if i0:
-                # materialise the reversed window view: matmul on an
-                # overlapping stride-tricked operand bypasses BLAS and runs
-                # ~20x slower
-                w_blk = np.ascontiguousarray(windows[i0:0:-1, :width])
-                past = x_or_db[:, :i0] @ w_blk
+                past = x_or_db[:, :i0] @ table[n - i0:, :width]
             else:
                 past = np.zeros((n_chunk, width))
             for b in range(width):
@@ -252,6 +246,13 @@ def simulate_paths(params: ModelParams, curve: ForwardVarianceCurve,
     """
     w = precompute_kernel_weights(params, config)
     n = config.n_steps()
+    # row n - j holds w[j .. j + _BLOCK_STEPS - 1] (zero-padded), so block i0
+    # reads its inter-block weights as table[n - i0:]; the copy is needed
+    # because matmul on an overlapping stride-tricked view bypasses BLAS and
+    # runs ~20x slower
+    w_pad = np.concatenate([w, np.zeros(_BLOCK_STEPS)])
+    table = np.ascontiguousarray(
+        np.lib.stride_tricks.sliding_window_view(w_pad, _BLOCK_STEPS)[n:0:-1])
     xi_step = np.asarray(curve(config.dt() * np.arange(n)), dtype=float)
     if xi_step.ndim == 0:
         xi_step = np.full(n, float(xi_step))
@@ -265,7 +266,7 @@ def simulate_paths(params: ModelParams, curve: ForwardVarianceCurve,
 
     def run(idx):
         lo, hi = ranges[idx]
-        return _simulate_chunk(xi_step, w, config, params, lo, hi,
+        return _simulate_chunk(xi_step, w, table, config, params, lo, hi,
                                day_r, day_s2, *v_sums[idx])
 
     if threads > 1 and len(ranges) > 1:

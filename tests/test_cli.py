@@ -244,6 +244,27 @@ class TestCompareCommand:
         assert code == 4
         assert not out.exists() or not list(out.iterdir())
 
+    def test_model_file_missing_columns_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad_model.csv"
+        bad.write_text("k,foo\n1,2\n")
+        out = tmp_path / "cmp4"
+        code = main(["compare", "--model-file", str(bad), "--output-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "zumbach_cov, zumbach_asymptotic" in err
+        assert not out.exists() or not list(out.iterdir())
+
+    def test_mc_file_missing_column_is_parse_error(self, tmp_path, model_file, capsys):
+        bad = tmp_path / "bad_mc.csv"
+        bad.write_text("k,estimate\n1,2\n")
+        out = tmp_path / "cmp5"
+        code = main(["compare", "--model-file", str(model_file), "--mc-file", str(bad),
+                     "--output-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "std_error" in err
+        assert not out.exists() or not list(out.iterdir())
+
 
 class TestConfigFile:
     def test_config_preloads_defaults(self, tmp_path):

@@ -321,6 +321,20 @@ class TestFourthMoment:
         assert fourth_moment_r(SEC4, pl, 1.0, D) == pytest.approx(
             fourth_moment_r(SEC4, FLAT, 1.0, D), rel=1e-6)
 
+    def test_piecewise_at_t_equal_delta(self):
+        # the leverage term evaluates the curve down to time 0 here
+        pl = ForwardVarianceCurve.piecewise_linear([0.0, 2.0], [0.025, 0.025])
+        assert fourth_moment_r(SEC4, pl, D, D) == pytest.approx(
+            fourth_moment_r(SEC4, FLAT, D, D), rel=1e-6, abs=0.0)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the 48-node inner rule of the piecewise leverage term meets the "
+        "(s-u)^alpha endpoint of its integrand: 2.3e-7 off"))
+    def test_piecewise_linear_reduces_to_flat_tightly(self):
+        pl = ForwardVarianceCurve.piecewise_linear([0.0, 2.0], [0.025, 0.025])
+        assert fourth_moment_r(SEC4, pl, 1.0, D) == pytest.approx(
+            fourth_moment_r(SEC4, FLAT, 1.0, D), rel=1e-9, abs=0.0)
+
 
 class TestStationaryLimits:
     def test_alpha1_closed_form(self):

@@ -20,7 +20,7 @@ import pytest
 from zlab.errors import ContractError, MemoryGuardError, SimulationError
 from zlab.model import (TRADING_DAY, ForwardVarianceCurve, ModelParams,
                         var_sigma2, zumbach_cov)
-from zlab.simulate import (MomentEstimates, PathBatch, SimConfig,
+from zlab.simulate import (MomentEstimates, PathBatch, SimConfig, _path_normals,
                            estimate_moments_mc, estimate_zumbach_mc,
                            export_daily_csv, precompute_kernel_weights,
                            simulate_paths)
@@ -131,6 +131,41 @@ class TestReproducibility:
         batch = simulate_paths(p, FLAT, cfg)
         # deterministic variance: returns of a pair are exact negations
         np.testing.assert_allclose(batch.r[0::2], -batch.r[1::2], rtol=0, atol=1e-18)
+
+
+def direct_summation(params, curve, cfg):
+    """Daily (r, s2) from V_i = xi0(t_i) + sum_{j<i} w_{i-j} sqrt(V_j+) dB_j, step by step."""
+    n, dt, spd = cfg.n_steps(), cfg.dt(), cfg.steps_per_day
+    w = precompute_kernel_weights(params, cfg)
+    xi = curve(dt * np.arange(n))
+    rho_perp = math.sqrt(1.0 - params.rho**2)
+    r = np.zeros((cfg.n_paths, cfg.n_days))
+    s2 = np.zeros((cfg.n_paths, cfg.n_days))
+    for path in range(cfg.n_paths):
+        z = _path_normals(cfg, path, n)
+        d_w = z[0] * math.sqrt(dt)
+        d_b = params.rho * d_w + rho_perp * math.sqrt(dt) * z[1]
+        source = np.zeros(n)  # sqrt(V_j+) dB_j
+        for i in range(n):
+            v_pos = max(xi[i] + float(np.dot(source[:i], w[i:0:-1])), 0.0)
+            r[path, i // spd] += math.sqrt(v_pos) * d_w[i]
+            s2[path, i // spd] += v_pos * dt
+            source[i] = math.sqrt(v_pos) * d_b[i]
+    return r, s2
+
+
+class TestConvolution:
+    # 600 steps span three convolution blocks, so the inter-block matrix
+    # product and a partial last block both run
+    @pytest.mark.parametrize("hurst, nu", [(0.05, 0.05), (0.3, 0.1)])
+    def test_engine_matches_direct_summation(self, hurst, nu):
+        params = ModelParams(hurst=hurst, lam=0.3, nu=nu, rho=-0.7)
+        cfg = SimConfig(n_paths=3, steps_per_day=20, n_days=30, seed=11)
+        batch = simulate_paths(params, FLAT, cfg)
+        assert batch.neg_fraction == 0.0
+        r, s2 = direct_summation(params, FLAT, cfg)
+        np.testing.assert_allclose(batch.r, r, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(batch.s2, s2, rtol=1e-12, atol=0)
 
 
 class TestStatisticalProperties:
