@@ -185,8 +185,12 @@ def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
         np.multiply(z[0], sqrt_dt, out=d_w[c])
         x_or_db[c] = rho * d_w[c] + (rho_perp * sqrt_dt) * z[1]
 
-    r_acc = np.zeros((n_chunk, config.n_days))
-    s2_acc = np.zeros((n_chunk, config.n_days))
+    # the per-step vectors run across paths, so the accumulators are
+    # (day, path) and each block's inter-block sums and dW are copied to
+    # (step, path): a column of a (path, step) array strides a whole row
+    # per element
+    r_acc = np.zeros((config.n_days, n_chunk))
+    s2_acc = np.zeros((config.n_days, n_chunk))
     neg = 0
 
     # overflowing states are caught by the finiteness guard below; numpy's
@@ -196,12 +200,13 @@ def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
             hi_blk = min(i0 + _BLOCK_STEPS, n)
             width = hi_blk - i0
             if i0:
-                past = x_or_db[:, :i0] @ table[n - i0:, :width]
+                past = (x_or_db[:, :i0] @ table[n - i0:, :width]).T.copy()
             else:
-                past = np.zeros((n_chunk, width))
+                past = np.zeros((width, n_chunk))
+            d_w_blk = d_w[:, i0:hi_blk].T.copy()
             for b in range(width):
                 i = i0 + b
-                v = past[:, b] + xi_step[i]
+                v = past[b] + xi_step[i]
                 if b:
                     v += x_or_db[:, i0:i] @ w[b:0:-1]
                 day = i // spd
@@ -211,8 +216,8 @@ def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
                 neg += int(np.count_nonzero(v < 0.0))
                 v_pos = np.maximum(v, 0.0)
                 sqrt_v = np.sqrt(v_pos)
-                r_acc[:, day] += sqrt_v * d_w[:, i]
-                s2_acc[:, day] += v_pos * dt
+                r_acc[day] += sqrt_v * d_w_blk[b]
+                s2_acc[day] += v_pos * dt
                 x_or_db[:, i] *= sqrt_v
             if not np.all(np.isfinite(x_or_db[:, i0:hi_blk])):
                 bad = np.argwhere(~np.isfinite(x_or_db[:, i0:hi_blk]))[0]
@@ -220,8 +225,8 @@ def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
                     f"non-finite variance state at path {lo + int(bad[0])}, "
                     f"step {i0 + int(bad[1])}")
 
-    day_r[lo:hi] = r_acc
-    day_s2[lo:hi] = s2_acc
+    day_r[lo:hi] = r_acc.T
+    day_s2[lo:hi] = s2_acc.T
     return neg
 
 

@@ -44,7 +44,8 @@ def report(name: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def big_batch():
     t0 = time.monotonic()
-    batch = simulate_paths(SEC4, FLAT, MC_CONFIG)
+    # two path chunks at a time; the batch is bit-identical for any thread count
+    batch = simulate_paths(SEC4, FLAT, MC_CONFIG, threads=2)
     print(f"\n[acceptance MC: {MC_CONFIG.n_paths} paths x {MC_CONFIG.n_steps()} steps "
           f"in {time.monotonic() - t0:.0f}s, truncation fraction {batch.neg_fraction:.2f}]")
     return batch
