@@ -32,16 +32,17 @@ Implemented quantities
   stationary regime, plus its small-delta equivalent
   ``zumbach_correl_small_delta``.
 
-Quadrature policy: integrands inherit an integrable u^(alpha-1) singularity
-from the density at the origin; integrals against the density (or the
-fractional kernel of ``g0``) go through one helper, ``_kernel_integral``,
-which substitutes u = v^(1/alpha) to make the integrand smooth and applies a
-fixed Gauss-Legendre rule between curve kinks.  Outer integrals go to
-adaptive Gauss-Kronrod with relative tolerance 1e-8 and absolute floor
-1e-16.  Semi-infinite integrals are truncated where the integrand's
-algebraic tail is analytically integrable and the closed-form tail estimate
-is added back.  Degenerate inputs (rho = 0 or nu = 0) short-circuit to exact
-zeros without quadrature.
+Quadrature policy: integrals against the density f (or the fractional
+kernel of ``g0``) go through ``_kernel_integral``: the substitution
+u = v^(1/alpha) removes the u^(alpha-1) singularity at the origin, and a
+fixed 48-node Gauss-Legendre rule runs between curve kinks.  Outer integrals
+over the CDF F go through ``_ts_quad``, a fixed tanh-sinh rule whose nodes
+crowd doubly exponentially into the segment ends, so the algebraic endpoint
+singularities of F(s) and F(delta - s) need no substitution; it checks
+itself against the rule at twice its step.  Segments end at curve kinks
+and, on long ranges, at the day scales delta * 8^j.  The semi-infinite
+integral of the stationary limit adds a closed-form algebraic tail.
+Degenerate inputs (rho = 0 or nu = 0) short-circuit to exact zeros.
 
 All operations are pure functions of immutable inputs and can be evaluated
 concurrently without locking.
@@ -50,13 +51,15 @@ concurrently without locking.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ContractError, QuadratureError
-from .special import MlParams, density_sq_tail, ml_cdf, ml_series_grid
+# ml_cdf is not called here, but perfbench's tracer wraps model.ml_cdf
+from .special import (MlParams, density_sq_tail, l2_norm_f_squared, ml_cdf,  # noqa: F401
+                      ml_cdf_grid, ml_series_grid)
 
 __all__ = [
     "TRADING_DAY",
@@ -80,6 +83,13 @@ TRADING_DAY = 1.0 / 252.0
 """Default day length in years (252 trading days per year)."""
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+
+# Tanh-sinh rule on (0, 1): y(x) = (1 + tanh(pi/2 sinh x)) / 2 at x = k/12,
+# |k| <= 38.  The nodes are symmetric, so _TS_NODES[::-1] holds 1 - y
+# without cancellation; the weights carry the step and dy/dx.
+_TS_X = np.arange(-38, 39) / 12.0
+_TS_NODES = 1.0 / (1.0 + np.exp(-np.pi * np.sinh(_TS_X)))
+_TS_WEIGHTS = np.pi / 12.0 * np.cosh(_TS_X) * _TS_NODES * _TS_NODES[::-1]
 
 
 @dataclass(frozen=True)
@@ -208,15 +218,26 @@ class ZumbachCurve:
             raise ContractError("lags must be >= 1")
 
 
-def _checked_quad(fn, a, b, *, points=None, epsrel=1e-8, epsabs=1e-16, limit=400):
-    out = quad(fn, a, b, points=points, limit=limit, epsabs=epsabs,
-               epsrel=epsrel, full_output=1)
-    val, abserr = out[0], out[1]
-    ok = math.isfinite(val) and abserr <= max(epsabs * 1e3, abs(val) * epsrel * 1e3, 1e-300)
-    if not ok:
+def _ts_quad(fn, a: float, b: float, cuts=(), epsrel: float = 1e-8) -> float:
+    """int_a^b fn(s, b - s) ds by the tanh-sinh rule on each segment between cuts.
+
+    fn maps two 1-d arrays to one; its second argument, the distance to b, is
+    taken from the mirrored node, so it stays exact and positive next to b.
+    The even-indexed nodes form the rule at twice the step; QuadratureError
+    if the two results differ by more than 1e3 * epsrel * |value|.
+    """
+    cuts = np.asarray(cuts, dtype=float)
+    edges = np.unique(np.concatenate([[a, b], cuts[(cuts > a) & (cuts < b)]]))
+    lo, hi = edges[:-1, None], edges[1:, None]
+    width = hi - lo
+    s = (lo + width * _TS_NODES).ravel()
+    rest = ((b - hi) + width * _TS_NODES[::-1]).ravel()
+    terms = width * _TS_WEIGHTS * fn(s, rest).reshape(-1, _TS_NODES.size)
+    val, coarse = float(terms.sum()), 2.0 * float(terms[:, ::2].sum())
+    if not (math.isfinite(val) and abs(val - coarse) <= 1e3 * epsrel * abs(val)):
         raise QuadratureError(
-            f"adaptive quadrature on [{a}, {b}] reached abserr={abserr:.2e} "
-            f"for value {val:.6e}")
+            f"tanh-sinh rule on [{a}, {b}] gave {val:.6e} at step 1/12 and "
+            f"{coarse:.6e} at step 1/6")
     return val
 
 
@@ -245,15 +266,17 @@ def _kernel_integral(alpha: float, lam: float, upper: float, fn, cuts=()) -> flo
 
 
 def _f_conv_curve(params: ModelParams, curve: ForwardVarianceCurve,
-                  upper: float, t_arg: float) -> float:
-    """int_0^upper f(u) xi0(t_arg - u) du; xi0 * F(upper) on a flat curve."""
-    if upper <= 0.0:
-        return 0.0
+                  upper: np.ndarray, t_arg: np.ndarray) -> np.ndarray:
+    """int_0^upper f(u) xi0(t_arg - u) du elementwise over 1-d arrays.
+
+    xi0 * F(upper) on a flat curve; otherwise one ``_kernel_integral`` per
+    element, split at the curve's kinks.
+    """
     if curve.is_flat:
-        return curve.level * ml_cdf(params.ml(), upper)
-    kinks = curve._kinks_between(t_arg - upper, t_arg)
-    return params.lam * _kernel_integral(params.alpha, params.lam, upper,
-                                         lambda u: curve(t_arg - u), t_arg - kinks)
+        return curve.level * ml_cdf_grid(params.ml(), upper)
+    return np.array([params.lam * _kernel_integral(
+        params.alpha, params.lam, up, lambda u: curve(ta - u),
+        ta - curve._kinks_between(ta - up, ta)) for up, ta in zip(upper, t_arg)])
 
 
 def g0(params: ModelParams, curve: ForwardVarianceCurve, t: float) -> float:
@@ -284,15 +307,10 @@ def g_alpha(alpha: float, k: int) -> float:
     if alpha == 1.0:
         return 0.5
 
-    def integrand(s):
-        return ((k + s) ** alpha - (k + s - 1.0) ** alpha) * (1.0 - s) ** alpha
+    def integrand(s, rest):
+        return ((k + s) ** alpha - (k + s - 1.0) ** alpha) * rest ** alpha
 
-    val = _checked_quad(integrand, 0.0, 1.0, epsrel=1e-11, epsabs=1e-15)
-    return val / math.gamma(alpha + 1.0) ** 2
-
-
-def _delta_cdf(p: MlParams, s: float, k: int, delta: float) -> float:
-    return ml_cdf(p, s + k * delta) - ml_cdf(p, s + (k - 1) * delta)
+    return _ts_quad(integrand, 0.0, 1.0, epsrel=1e-11) / math.gamma(alpha + 1.0) ** 2
 
 
 def zumbach_cov(params: ModelParams, curve: ForwardVarianceCurve, t: float,
@@ -317,11 +335,13 @@ def zumbach_cov(params: ModelParams, curve: ForwardVarianceCurve, t: float,
         return 0.0
     p = params.ml()
     pref = 2.0 * (params.rho * params.nu / params.lam) ** 2
+    c = t - delta
 
-    def integrand(s):
-        return _delta_cdf(p, s, k, delta) * _f_conv_curve(params, curve, delta - s, t - s)
+    def integrand(s, rest):
+        return ((ml_cdf_grid(p, s + k * delta) - ml_cdf_grid(p, s + (k - 1) * delta))
+                * _f_conv_curve(params, curve, rest, c + rest))
 
-    return pref * _checked_quad(integrand, 0.0, delta)
+    return pref * _ts_quad(integrand, 0.0, delta, t - curve._kinks_between(c, t))
 
 
 def zumbach_asymptotic(params: ModelParams, curve: ForwardVarianceCurve,
@@ -350,42 +370,26 @@ def zumbach_curve(params: ModelParams, curve: ForwardVarianceCurve, t: float,
     return ZumbachCurve(delta=delta, t=t, lags=lags, values=vals, asymptotic=asym)
 
 
-def _day_scale_points(delta: float, hi: float) -> list[float]:
-    pts = []
-    s = delta
-    while s < hi:
-        pts.append(s)
-        s *= 8.0
-    return pts
+def _sigma2_integrals(p: MlParams, curve: ForwardVarianceCurve, c: float,
+                     delta: float) -> float:
+    """Var[sigma2] / (nu/lam)^2 at time t = c + delta:
 
+    int_0^c (F(s+delta) - F(s))^2 xi0(c-s) ds + int_0^delta F(s)^2 xi0(t-s) ds.
 
-def _int_sq_cdf(p: MlParams, delta: float) -> float:
-    # int_0^delta F(s)^2 ds
-    return _checked_quad(lambda s: ml_cdf(p, s) ** 2, 0.0, delta,
-                         epsabs=1e-300, epsrel=1e-10)
-
-
-def _int_sq_cdf_increment(p: MlParams, delta: float, upper: float,
-                          weight=None) -> float:
-    """int_0^upper (F(s+delta) - F(s))^2 [xi0-weight(s)] ds.
-
-    The integrand is of size F(delta)^2 near the origin and decays like
-    (delta f(s))^2 for s >> delta, so day-scale breakpoints guide the
-    subdivision.
+    The first integrand is of size F(delta)^2 near the origin and decays like
+    (delta f(s))^2 for s >> delta, so its segments end at the day scales
+    delta * 8^j (``_ts_quad`` drops the cuts beyond c).
     """
-    fn = (lambda s: (ml_cdf(p, s + delta) - ml_cdf(p, s)) ** 2) if weight is None \
-        else (lambda s: (ml_cdf(p, s + delta) - ml_cdf(p, s)) ** 2 * weight(s))
-    pts = [x for x in _day_scale_points(delta, upper) if 0.0 < x < upper]
-    return _checked_quad(fn, 0.0, upper, points=pts or None,
-                         epsabs=1e-300, epsrel=1e-10)
+    def main(s, rest):
+        return (ml_cdf_grid(p, s + delta) - ml_cdf_grid(p, s)) ** 2 * curve(rest)
 
+    def edge(s, rest):
+        return ml_cdf_grid(p, s) ** 2 * curve(c + rest)
 
-def _int_sq_cdf_increment_inf(p: MlParams, delta: float) -> float:
-    """int_0^inf (F(s+delta) - F(s))^2 ds with analytic algebraic tail."""
-    upper = max(60.0 / p.lam ** (1.0 / p.alpha), 1000.0 * delta)
-    body = _int_sq_cdf_increment(p, delta, upper)
-    tail = delta**2 * density_sq_tail(p, upper + 0.5 * delta)
-    return body + tail
+    main_cuts = np.concatenate([delta * 8.0 ** np.arange(24), c - curve._kinks_between(0.0, c)])
+    edge_cuts = c + delta - curve._kinks_between(c, c + delta)
+    return (_ts_quad(main, 0.0, c, main_cuts, epsrel=1e-10)
+            + _ts_quad(edge, 0.0, delta, edge_cuts, epsrel=1e-10))
 
 
 def var_sigma2(params: ModelParams, curve: ForwardVarianceCurve, t: float,
@@ -399,22 +403,13 @@ def var_sigma2(params: ModelParams, curve: ForwardVarianceCurve, t: float,
         raise ContractError(f"need delta > 0 and t >= delta, got t={t}, delta={delta}")
     if params.nu == 0.0:
         return 0.0
-    p = params.ml()
-    pref = (params.nu / params.lam) ** 2
-    if curve.is_flat:
-        main = _int_sq_cdf_increment(p, delta, t - delta) if t > delta else 0.0
-        return pref * curve.level * (main + _int_sq_cdf(p, delta))
-    main = _int_sq_cdf_increment(p, delta, t - delta,
-                                 weight=lambda s: curve(t - delta - s)) if t > delta else 0.0
-    edge = _checked_quad(lambda s: ml_cdf(p, s) ** 2 * curve(t - s), 0.0, delta,
-                         epsabs=1e-300, epsrel=1e-10)
-    return pref * (main + edge)
+    return (params.nu / params.lam) ** 2 * _sigma2_integrals(params.ml(), curve, t - delta, delta)
 
 
 def _int_cdf_bilinear(p: MlParams, delta: float) -> float:
     # int_0^delta F(u) F(delta-u) du
-    return _checked_quad(lambda u: ml_cdf(p, u) * ml_cdf(p, delta - u),
-                         0.0, delta, epsabs=1e-300, epsrel=1e-10)
+    return _ts_quad(lambda u, rest: ml_cdf_grid(p, u) * ml_cdf_grid(p, rest),
+                    0.0, delta, epsrel=1e-10)
 
 
 def fourth_moment_r(params: ModelParams, curve: ForwardVarianceCurve, t: float,
@@ -427,9 +422,9 @@ def fourth_moment_r(params: ModelParams, curve: ForwardVarianceCurve, t: float,
 
     where L = int_0^delta ds int_0^s f(u) int_0^(s-u) f(x) xi0(c+s-u-x) dx du
     is the leverage term and G = 6 int_0^delta xi0(c+s) int_c^(c+s) xi0 ds
-    the Gaussian term with deterministic variance (3 xi0^2 delta^2 on a
-    flat curve).  The two vol-of-vol terms add up to exactly 3 Var[sigma2]:
-    by Fubini and one integration by parts,
+    = 3 (int_c^t xi0)^2 the Gaussian term with deterministic variance.  The
+    two vol-of-vol terms add up to exactly 3 Var[sigma2]: by Fubini and one
+    integration by parts,
     int_0^delta ds int_0^s f(u) F(u) xi0(c+s-u) du = (1/2) int_0^delta
     F(u)^2 xi0(t-u) du, which is the edge integral of ``var_sigma2``, and the
     other term is its main integral.  At nu = 0 only G remains.
@@ -438,8 +433,7 @@ def fourth_moment_r(params: ModelParams, curve: ForwardVarianceCurve, t: float,
         raise ContractError(f"need delta > 0 and t >= delta, got t={t}, delta={delta}")
     lam, nu, rho = params.lam, params.nu, params.rho
     c = t - delta
-    gauss = 6.0 * _checked_quad(lambda s: curve(c + s) * curve.integral(c, c + s),
-                                0.0, delta, epsabs=1e-300, epsrel=1e-10)
+    gauss = 3.0 * curve.integral(c, t) ** 2
     if nu == 0.0:
         return gauss
     if rho == 0.0:
@@ -449,10 +443,11 @@ def fourth_moment_r(params: ModelParams, curve: ForwardVarianceCurve, t: float,
     else:
         def inner(s):
             # int_0^s f(u) int_0^(s-u) f(x) xi0(c+s-u-x) dx du on a fixed rule
-            return lam * _kernel_integral(params.alpha, lam, s, lambda u: np.array(
-                [_f_conv_curve(params, curve, s - ui, c + s - ui) for ui in u]))
+            return lam * _kernel_integral(params.alpha, lam, s, lambda u: _f_conv_curve(
+                params, curve, s - u, c + s - u))
 
-        leverage = _checked_quad(inner, 0.0, delta, epsrel=1e-8, epsabs=1e-300)
+        leverage = _ts_quad(lambda s, _: np.array([inner(si) for si in s]), 0.0, delta,
+                            t - curve._kinks_between(c, t))
     return (12.0 * (rho * nu / lam) ** 2 * leverage + gauss
             + 3.0 * var_sigma2(params, curve, t, delta))
 
@@ -472,8 +467,11 @@ def stationary_var_sigma2(params: ModelParams, xi_inf: float,
     if params.nu == 0.0:
         return 0.0
     p = params.ml()
-    return (params.nu / params.lam) ** 2 * xi_inf * (
-        _int_sq_cdf_increment_inf(p, delta) + _int_sq_cdf(p, delta))
+    # beyond upper, (F(s+delta) - F(s))^2 ~ delta^2 f(s+delta/2)^2 has a closed form
+    upper = max(60.0 / p.lam ** (1.0 / p.alpha), 1000.0 * delta)
+    tail = xi_inf * delta**2 * density_sq_tail(p, upper + 0.5 * delta)
+    return (params.nu / params.lam) ** 2 * (
+        _sigma2_integrals(p, ForwardVarianceCurve.flat(xi_inf), upper, delta) + tail)
 
 
 def stationary_fourth_moment_r(params: ModelParams, xi_inf: float,
@@ -519,7 +517,6 @@ def zumbach_correl(params: ModelParams, xi_inf: float, k: int,
         raise ContractError("degenerate denominator in zumbach_correl")
     out = num / math.sqrt(var_s2 * var_r2)
     if abs(out) > 1.0:
-        import warnings
         warnings.warn(f"zumbach_correl left [-1, 1]: {out}", stacklevel=2)
     return out
 
@@ -542,8 +539,6 @@ def zumbach_correl_small_delta(params: ModelParams, xi_inf: float, k: int,
         raise ContractError(f"xi_inf must be positive, got {xi_inf}")
     if params.rho == 0.0:
         return 0.0
-    from .special import l2_norm_f_squared
-
     alpha = params.alpha
     a_const = (params.nu / params.lam) ** 2 * l2_norm_f_squared(params.ml())
     return (2.0 * (params.rho * params.nu) ** 2 * delta ** (2.0 * alpha - 1.0)

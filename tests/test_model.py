@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from zlab.errors import ContractError
 from zlab.model import (TRADING_DAY, ForwardVarianceCurve, ModelParams,
@@ -24,7 +25,7 @@ from zlab.model import (TRADING_DAY, ForwardVarianceCurve, ModelParams,
                         stationary_fourth_moment_r, stationary_var_sigma2,
                         var_sigma2, zumbach_asymptotic, zumbach_correl,
                         zumbach_correl_small_delta, zumbach_cov, zumbach_curve)
-from zlab.special import MlParams, l2_norm_f_squared
+from zlab.special import MlParams, l2_norm_f_squared, ml_cdf
 
 D = TRADING_DAY
 SEC4 = ModelParams(hurst=0.05, lam=0.3, nu=0.45, rho=-0.7)
@@ -111,14 +112,14 @@ class TestTypes:
 
 class TestG0:
     def test_flat_at_zero(self):
-        assert g0(SEC4, FLAT, 0.0) == pytest.approx(0.025)
+        assert g0(SEC4, FLAT, 0.0) == pytest.approx(0.025, abs=0.0)
 
     def test_alpha1_closed_form(self):
-        assert g0(CLASSICAL, FLAT, 2.0) == pytest.approx(0.025 * 1.6, rel=1e-12)
+        assert g0(CLASSICAL, FLAT, 2.0) == pytest.approx(0.025 * 1.6, rel=1e-12, abs=0.0)
 
     def test_flat_formula_sec4(self):
         expected = 0.025 * (1.0 + 0.3 / math.gamma(1.55))
-        assert g0(SEC4, FLAT, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert g0(SEC4, FLAT, 1.0) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_quadrature_cross_check(self):
         # flat fast path against the defining fractional integral, by a
@@ -130,7 +131,7 @@ class TestG0:
         frac = 0.025 * np.diff(ys).sum() / alpha  # flat curve: integrand constant
         assert frac == pytest.approx(0.025 * t**alpha / alpha)
         oracle = 0.025 + lam / math.gamma(alpha) * frac
-        assert g0(SEC4, FLAT, t) == pytest.approx(oracle, rel=1e-10)
+        assert g0(SEC4, FLAT, t) == pytest.approx(oracle, rel=1e-10, abs=0.0)
 
     def test_piecewise_matches_midpoint_oracle(self):
         pl = ForwardVarianceCurve.piecewise_linear([0.0, 0.5, 2.0], [0.02, 0.05, 0.03])
@@ -140,7 +141,7 @@ class TestG0:
         mids = 0.5 * (ys[1:] + ys[:-1])
         vals = pl(t - mids ** (1.0 / alpha))
         oracle = pl(t) + lam / math.gamma(alpha) * float(np.sum(vals * np.diff(ys))) / alpha
-        assert g0(SEC4, pl, t) == pytest.approx(oracle, rel=1e-7)
+        assert g0(SEC4, pl, t) == pytest.approx(oracle, rel=1e-7, abs=0.0)
 
     def test_dominates_curve(self):
         for t in (0.1, 0.5, 2.0):
@@ -155,7 +156,7 @@ class TestGAlpha:
     @pytest.mark.parametrize("key,expected", sorted(G_ALPHA_ORACLE.items()))
     def test_oracle_values(self, key, expected):
         alpha, k = key
-        assert g_alpha(alpha, k) == pytest.approx(expected, rel=1e-10)
+        assert g_alpha(alpha, k) == pytest.approx(expected, rel=1e-10, abs=0.0)
 
     def test_decreasing_in_lag(self):
         vals = [g_alpha(0.55, k) for k in range(1, 30)]
@@ -165,7 +166,7 @@ class TestGAlpha:
         # g(2k)/g(k) -> 2^(alpha-1)
         alpha = 0.55
         ratio = g_alpha(alpha, 512) / g_alpha(alpha, 256)
-        assert ratio == pytest.approx(2.0 ** (alpha - 1.0), rel=2e-3)
+        assert ratio == pytest.approx(2.0 ** (alpha - 1.0), rel=2e-3, abs=0.0)
 
 
 class TestZumbachCov:
@@ -181,7 +182,7 @@ class TestZumbachCov:
         for k in range(1, 11):
             quad_val = zumbach_cov(CLASSICAL, FLAT, 1.0, k, D)
             closed = closed_form_z_alpha1(CLASSICAL, 0.025, k, D)
-            assert quad_val == pytest.approx(closed, rel=1e-7)
+            assert quad_val == pytest.approx(closed, rel=1e-7, abs=0.0)
 
     def test_rho_sign_invariance(self):
         p_neg = ModelParams(hurst=0.05, lam=0.3, nu=0.45, rho=-0.7)
@@ -198,7 +199,7 @@ class TestZumbachCov:
     def test_t_independence_flat(self):
         a = zumbach_cov(SEC4, FLAT, 1.0, 1, D)
         b = zumbach_cov(SEC4, FLAT, 4.0, 1, D)
-        assert a == pytest.approx(b, rel=1e-10)
+        assert a == pytest.approx(b, rel=1e-10, abs=0.0)
 
     def test_h_half_negligible(self):
         for k in range(1, 11):
@@ -216,7 +217,7 @@ class TestZumbachCov:
     def test_piecewise_linear_reduces_to_flat(self):
         pl = ForwardVarianceCurve.piecewise_linear([0.0, 2.0], [0.025, 0.025])
         assert zumbach_cov(SEC4, pl, 1.0, 1, D) == pytest.approx(
-            zumbach_cov(SEC4, FLAT, 1.0, 1, D), rel=1e-9)
+            zumbach_cov(SEC4, FLAT, 1.0, 1, D), rel=1e-9, abs=0.0)
 
     def test_piecewise_linear_tracks_local_level(self):
         # the asymmetry is proportional to the curve near t, so a sloped curve
@@ -225,7 +226,31 @@ class TestZumbachCov:
         t = 2.0
         z_pl = zumbach_cov(SEC4, pl, t, 1, D)
         z_flat = zumbach_cov(SEC4, FLAT, t, 1, D)
-        assert z_pl == pytest.approx(z_flat * pl(t) / 0.025, rel=0.01)
+        assert z_pl == pytest.approx(z_flat * pl(t) / 0.025, rel=0.01, abs=0.0)
+
+    def test_knot_inside_the_day_is_cut(self):
+        # kink of xi0 at t - delta/2 leaves the integrand a weak singularity
+        # at s = delta/2; independent reference from nested adaptive quad,
+        # with the inner integral in its integrated-by-parts form
+        # F(delta-s) xi0(t-delta) + int_0^(delta-s) F(u) xi0'(t-s-u) du
+        t, k = 1.0, 2
+        knot = t - D / 2
+        pl = ForwardVarianceCurve.piecewise_linear([0.0, knot, 2.0], [0.02, 0.05, 0.02])
+        p = SEC4.ml()
+        slope_lo, slope_hi = 0.03 / knot, -0.03 / (2.0 - knot)
+
+        def inner(s):
+            split = min(t - s - knot, D - s) if s < D / 2 else 0.0
+            lo = quad(lambda u: ml_cdf(p, u), 0.0, split, epsabs=0.0, epsrel=1e-13)[0]
+            hi = quad(lambda u: ml_cdf(p, u), split, D - s, epsabs=0.0, epsrel=1e-13)[0]
+            return ml_cdf(p, D - s) * pl(t - D) + slope_hi * lo + slope_lo * hi
+
+        def outer(s):
+            return (ml_cdf(p, s + k * D) - ml_cdf(p, s + (k - 1) * D)) * inner(s)
+
+        ref = 2.0 * (SEC4.rho * SEC4.nu / SEC4.lam) ** 2 * quad(
+            outer, 0.0, D, points=[D / 2], epsabs=0.0, epsrel=1e-12)[0]
+        assert zumbach_cov(SEC4, pl, t, k, D) == pytest.approx(ref, rel=1e-9, abs=0.0)
 
 
 class TestAsymptotic:
@@ -238,7 +263,7 @@ class TestAsymptotic:
         expected = 2.0 * 0.315**2 * D**3 * 0.5 * 0.025
         for k in (1, 5, 10):
             assert zumbach_asymptotic(CLASSICAL, FLAT, 1.0, k, D) == pytest.approx(
-                expected, rel=1e-12)
+                expected, rel=1e-12, abs=0.0)
 
     def test_lambda_independence_exact(self):
         vals = [zumbach_asymptotic(
@@ -271,7 +296,7 @@ class TestAsymptotic:
         assert zc.lags.tolist() == [1, 2, 3, 4, 5]
         assert np.all(zc.values > 0.0)
         assert np.all(zc.asymptotic > 0.0)
-        assert zc.values[0] == pytest.approx(zumbach_cov(SEC4, FLAT, 1.0, 1, D))
+        assert zc.values[0] == pytest.approx(zumbach_cov(SEC4, FLAT, 1.0, 1, D), abs=0.0)
 
     def test_curve_builder_rho_zero_is_identically_zero(self):
         p = ModelParams(hurst=0.05, lam=0.3, nu=0.45, rho=0.0)
@@ -287,7 +312,8 @@ class TestVarSigma2:
 
     def test_alpha1_closed_form(self):
         got = var_sigma2(CLASSICAL, FLAT, 1.0, D)
-        assert got == pytest.approx(closed_form_var_alpha1(CLASSICAL, 0.025, 1.0, D), rel=1e-8)
+        assert got == pytest.approx(closed_form_var_alpha1(CLASSICAL, 0.025, 1.0, D),
+                                    rel=1e-8, abs=0.0)
 
     def test_increasing_in_nu(self):
         lo = var_sigma2(ModelParams(0.05, 0.3, 0.3, -0.7), FLAT, 1.0, D)
@@ -297,14 +323,31 @@ class TestVarSigma2:
     def test_piecewise_linear_reduces_to_flat(self):
         pl = ForwardVarianceCurve.piecewise_linear([0.0, 2.0], [0.025, 0.025])
         assert var_sigma2(SEC4, pl, 1.0, D) == pytest.approx(
-            var_sigma2(SEC4, FLAT, 1.0, D), rel=1e-9)
+            var_sigma2(SEC4, FLAT, 1.0, D), rel=1e-9, abs=0.0)
+
+    def test_knot_inside_the_range_is_cut(self):
+        # xi0(t - delta - s) kinks at s = t - delta - 0.4; adaptive reference
+        # told about the kink
+        t = 1.0
+        c = t - D
+        pl = ForwardVarianceCurve.piecewise_linear([0.0, 0.4, 2.0], [0.02, 0.05, 0.02])
+        p = SEC4.ml()
+
+        def main(s):
+            return (ml_cdf(p, s + D) - ml_cdf(p, s)) ** 2 * pl(c - s)
+
+        ref = (quad(main, 0.0, c, points=[c - 0.4], limit=200, epsabs=0.0, epsrel=1e-12)[0]
+               + quad(lambda s: ml_cdf(p, s) ** 2 * pl(t - s), 0.0, D,
+                      epsabs=0.0, epsrel=1e-12)[0])
+        assert var_sigma2(SEC4, pl, t, D) == pytest.approx(
+            (SEC4.nu / SEC4.lam) ** 2 * ref, rel=1e-9, abs=0.0)
 
 
 class TestFourthMoment:
     def test_gaussian_limit_nu_zero(self):
         p = ModelParams(hurst=0.05, lam=0.3, nu=0.0, rho=-0.7)
         assert fourth_moment_r(p, FLAT, 1.0, D) == pytest.approx(
-            3.0 * 0.025**2 * D**2, rel=1e-12)
+            3.0 * 0.025**2 * D**2, rel=1e-12, abs=0.0)
 
     def test_rho_zero_drops_leverage_term(self):
         p_rho = ModelParams(hurst=0.05, lam=0.3, nu=0.45, rho=-0.7)
@@ -319,7 +362,7 @@ class TestFourthMoment:
     def test_piecewise_linear_reduces_to_flat(self):
         pl = ForwardVarianceCurve.piecewise_linear([0.0, 2.0], [0.025, 0.025])
         assert fourth_moment_r(SEC4, pl, 1.0, D) == pytest.approx(
-            fourth_moment_r(SEC4, FLAT, 1.0, D), rel=1e-6)
+            fourth_moment_r(SEC4, FLAT, 1.0, D), rel=1e-6, abs=0.0)
 
     def test_piecewise_at_t_equal_delta(self):
         # the leverage term evaluates the curve down to time 0 here
@@ -340,13 +383,13 @@ class TestStationaryLimits:
     def test_alpha1_closed_form(self):
         got = stationary_var_sigma2(CLASSICAL, 0.025, D)
         assert got == pytest.approx(
-            closed_form_var_alpha1(CLASSICAL, 0.025, None, D, stationary=True), rel=1e-8)
+            closed_form_var_alpha1(CLASSICAL, 0.025, None, D, stationary=True), rel=1e-8, abs=0.0)
 
     def test_nu_zero(self):
         p = ModelParams(hurst=0.05, lam=0.3, nu=0.0, rho=-0.7)
         assert stationary_var_sigma2(p, 0.025, D) == 0.0
         assert stationary_fourth_moment_r(p, 0.025, D) == pytest.approx(
-            3.0 * 0.025**2 * D**2, rel=1e-12)
+            3.0 * 0.025**2 * D**2, rel=1e-12, abs=0.0)
 
     def test_finite_t_limits_to_stationary(self):
         # flat curve: the finite-t formulas differ only through integral
@@ -354,9 +397,9 @@ class TestStationaryLimits:
         # (~6e-4 relative at t = 30 years for alpha = 0.75)
         p = ModelParams(hurst=0.25, lam=0.3, nu=0.45, rho=-0.7)
         assert var_sigma2(p, FLAT, 30.0, D) == pytest.approx(
-            stationary_var_sigma2(p, 0.025, D), rel=1e-3)
+            stationary_var_sigma2(p, 0.025, D), rel=1e-3, abs=0.0)
         assert fourth_moment_r(p, FLAT, 30.0, D) == pytest.approx(
-            stationary_fourth_moment_r(p, 0.025, D), rel=1e-3)
+            stationary_fourth_moment_r(p, 0.025, D), rel=1e-3, abs=0.0)
         gap30 = abs(var_sigma2(p, FLAT, 30.0, D) / stationary_var_sigma2(p, 0.025, D) - 1.0)
         gap100 = abs(var_sigma2(p, FLAT, 100.0, D) / stationary_var_sigma2(p, 0.025, D) - 1.0)
         assert gap100 < gap30
@@ -382,16 +425,11 @@ class TestStationaryLimits:
 
 class TestQuadratureGuard:
     def test_nonconvergent_integrand_raises(self):
-        import warnings
-
         from zlab.errors import QuadratureError
-        from zlab.model import _checked_quad
+        from zlab.model import _ts_quad
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(QuadratureError):
-                _checked_quad(lambda s: math.sin(1.0 / (s + 1e-300)) / (s + 1e-300),
-                              0.0, 1.0)
+        with pytest.raises(QuadratureError):
+            _ts_quad(lambda s, _: np.sin(1.0 / s) / s, 0.0, 1.0)
 
 
 class TestZumbachCorrel:
