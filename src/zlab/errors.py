@@ -15,7 +15,11 @@ class ParseError(ZlabError):
 
 
 class QuadratureError(ZlabError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """A fixed quadrature rule disagreed with its own coarser sub-rule.
+
+    Raised when a tanh-sinh integral and the same rule at twice the step
+    differ by more than the caller's tolerance, or the value is not finite.
+    """
 
 
 class SimulationError(ZlabError):

@@ -36,12 +36,14 @@ Quadrature policy: integrals against the density f (or the fractional
 kernel of ``g0``) go through ``_kernel_integral``: the substitution
 u = v^(1/alpha) removes the u^(alpha-1) singularity at the origin, and a
 fixed 48-node Gauss-Legendre rule runs between curve kinks.  Outer integrals
-over the CDF F go through ``_ts_quad``, a fixed tanh-sinh rule whose nodes
-crowd doubly exponentially into the segment ends, so the algebraic endpoint
-singularities of F(s) and F(delta - s) need no substitution; it checks
-itself against the rule at twice its step.  Segments end at curve kinks
-and, on long ranges, at the day scales delta * 8^j.  The semi-infinite
-integral of the stationary limit adds a closed-form algebraic tail.
+over the CDF F go through ``_ts_quad``, which runs the package's one fixed
+tanh-sinh rule from :mod:`zlab.special` (the Mittag-Leffler evaluator uses
+it too).  Its nodes crowd doubly exponentially into the segment ends, so the
+algebraic endpoint singularities of F(s) and F(delta - s) need no
+substitution; it checks itself against the rule at twice its step.
+Segments end at curve kinks and, on long ranges, at the day scales
+delta * 8^j.  The semi-infinite integral of the stationary limit adds a
+closed-form algebraic tail.
 Degenerate inputs (rho = 0 or nu = 0) short-circuit to exact zeros.
 
 All operations are pure functions of immutable inputs and can be evaluated
@@ -56,10 +58,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, QuadratureError
+from .errors import ContractError
 # ml_cdf is not called here, but perfbench's tracer wraps model.ml_cdf
-from .special import (MlParams, density_sq_tail, l2_norm_f_squared, ml_cdf,  # noqa: F401
-                      ml_cdf_grid, ml_series_grid)
+from .special import (MlParams, _ts_rule, density_sq_tail, l2_norm_f_squared,  # noqa: F401
+                      ml_cdf, ml_cdf_grid, ml_series_grid)
 
 __all__ = [
     "TRADING_DAY",
@@ -83,14 +85,6 @@ TRADING_DAY = 1.0 / 252.0
 """Default day length in years (252 trading days per year)."""
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
-
-# Tanh-sinh rule on (0, 1): y(x) = (1 + tanh(pi/2 sinh x)) / 2 at x = k/12,
-# |k| <= 38.  The nodes are symmetric, so _TS_NODES[::-1] holds 1 - y
-# without cancellation; the weights carry the step and dy/dx.
-_TS_X = np.arange(-38, 39) / 12.0
-_TS_NODES = 1.0 / (1.0 + np.exp(-np.pi * np.sinh(_TS_X)))
-_TS_WEIGHTS = np.pi / 12.0 * np.cosh(_TS_X) * _TS_NODES * _TS_NODES[::-1]
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -218,27 +212,25 @@ class ZumbachCurve:
             raise ContractError("lags must be >= 1")
 
 
-def _ts_quad(fn, a: float, b: float, cuts=(), epsrel: float = 1e-8) -> float:
+def _ts_quad(fn, a: float, b: float, cuts=(), epsrel: float = 1e-8) -> float | np.ndarray:
     """int_a^b fn(s, b - s) ds by the tanh-sinh rule on each segment between cuts.
 
-    fn maps two 1-d arrays to one; its second argument, the distance to b, is
-    taken from the mirrored node, so it stays exact and positive next to b.
-    The even-indexed nodes form the rule at twice the step; QuadratureError
-    if the two results differ by more than 1e3 * epsrel * |value|.
+    fn maps two 1-d arrays to one, or to one row per integrand (then the
+    result is an array); its second argument, the distance to b, is taken
+    from the mirrored node, so it stays exact and positive next to b.
+    QuadratureError if the rule at twice the step differs by more than
+    1e3 * epsrel * |value|.
     """
     cuts = np.asarray(cuts, dtype=float)
     edges = np.unique(np.concatenate([[a, b], cuts[(cuts > a) & (cuts < b)]]))
-    lo, hi = edges[:-1, None], edges[1:, None]
-    width = hi - lo
-    s = (lo + width * _TS_NODES).ravel()
-    rest = ((b - hi) + width * _TS_NODES[::-1]).ravel()
-    terms = width * _TS_WEIGHTS * fn(s, rest).reshape(-1, _TS_NODES.size)
-    val, coarse = float(terms.sum()), 2.0 * float(terms[:, ::2].sum())
-    if not (math.isfinite(val) and abs(val - coarse) <= 1e3 * epsrel * abs(val)):
-        raise QuadratureError(
-            f"tanh-sinh rule on [{a}, {b}] gave {val:.6e} at step 1/12 and "
-            f"{coarse:.6e} at step 1/6")
-    return val
+    lo, hi = edges[:-1], edges[1:]
+
+    def on_nodes(s, to_hi):
+        vals = fn(s.ravel(), ((b - hi)[:, None] + to_hi).ravel())
+        return vals.reshape(vals.shape[:-1] + s.shape)
+
+    val = _ts_rule(on_nodes, lo, hi, epsrel, f"on [{a}, {b}]")
+    return float(val) if val.ndim == 0 else val
 
 
 def _kernel_integral(alpha: float, lam: float, upper: float, fn, cuts=()) -> float:
@@ -325,21 +317,31 @@ def zumbach_cov(params: ModelParams, curve: ForwardVarianceCurve, t: float,
     rho).  Requires t >= delta so the curve is never evaluated at negative
     times; for a flat curve the value does not depend on t.
     """
+    return float(_zumbach_covs(params, curve, t, [k], delta)[0])
+
+
+def _zumbach_covs(params: ModelParams, curve: ForwardVarianceCurve, t: float,
+                  lags, delta: float) -> np.ndarray:
+    """``zumbach_cov`` at every lag; the lag-free inner integral is evaluated once."""
     if delta <= 0.0:
         raise ContractError(f"delta must be positive, got {delta}")
     if t < delta:
         raise ContractError(f"need t >= delta, got t={t}, delta={delta}")
-    if k < 1 or int(k) != k:
-        raise ContractError(f"k must be a positive integer, got {k}")
+    for k in lags:
+        if k < 1 or int(k) != k:
+            raise ContractError(f"k must be a positive integer, got {k}")
+    ks = np.asarray(lags, dtype=int)
     if params.rho == 0.0 or params.nu == 0.0:
-        return 0.0
+        return np.zeros(ks.size)
     p = params.ml()
     pref = 2.0 * (params.rho * params.nu / params.lam) ** 2
     c = t - delta
+    shifts = np.unique(np.concatenate([ks, ks - 1]))
 
     def integrand(s, rest):
-        return ((ml_cdf_grid(p, s + k * delta) - ml_cdf_grid(p, s + (k - 1) * delta))
-                * _f_conv_curve(params, curve, rest, c + rest))
+        cdf = ml_cdf_grid(p, (s + shifts[:, None] * delta).ravel()).reshape(shifts.size, s.size)
+        diff = cdf[np.searchsorted(shifts, ks)] - cdf[np.searchsorted(shifts, ks - 1)]
+        return diff * _f_conv_curve(params, curve, rest, c + rest)
 
     return pref * _ts_quad(integrand, 0.0, delta, t - curve._kinks_between(c, t))
 
@@ -365,7 +367,7 @@ def zumbach_curve(params: ModelParams, curve: ForwardVarianceCurve, t: float,
                   lags, delta: float = TRADING_DAY) -> ZumbachCurve:
     """Evaluate ``zumbach_cov`` and ``zumbach_asymptotic`` over a lag grid."""
     lags = np.asarray(lags, dtype=int)
-    vals = np.array([zumbach_cov(params, curve, t, int(k), delta) for k in lags])
+    vals = _zumbach_covs(params, curve, t, lags, delta)
     asym = np.array([zumbach_asymptotic(params, curve, t, int(k), delta) for k in lags])
     return ZumbachCurve(delta=delta, t=t, lags=lags, values=vals, asymptotic=asym)
 

@@ -21,23 +21,30 @@ Evaluation strategy
 No single expansion of E_{a,b}(-z) is usable across all scales in double
 precision: the power series cancels catastrophically once z^(1/a) is large,
 and the algebraic tail expansion only converges-in-the-asymptotic-sense once
-z^(1/a) is large enough.  Three regimes are used:
+z^(1/a) is large enough.  One array evaluator serves E, F and f (the scalar
+functions are one-element calls to it); it splits its arguments into three
+regimes and evaluates each regime for all of its points at once:
 
-* ``z <= 9.2**a``  -- the defining power series, compensated with
-  ``math.fsum`` (worst cancellation bounded near exp(9.2) ~ 1e4, which keeps
-  the rounding floor near 1e-12 absolute);
+* ``z <= 9.2**a``  -- the defining power series, summed in plain double
+  precision (``ml_series_grid``; worst cancellation bounded near
+  exp(9.2) ~ 1e4, which keeps the rounding floor near 1e-12 absolute);
 * ``z >= 30**a``   -- the tail expansion with reciprocal gammas computed via
-  the reflection formula and truncation at the minimum of the sin-free term
-  envelope (the raw term magnitudes are not monotone: the reflection sine
-  vanishes near poles and must not trip the stopping rule);
-* in between      -- an adaptive Gauss-Kronrod evaluation of the spectral
-  representation of the completely monotone function E_a(-p^a) as a Laplace
-  transform of a positive kernel, after substituting away the r^(a-1)
-  endpoint singularity.
+  the reflection formula and truncation, per point, at the minimum of the
+  sin-free term envelope (the raw term magnitudes are not monotone: the
+  reflection sine vanishes near poles and must not trip the stopping rule);
+* in between      -- the spectral representation of the completely monotone
+  function E_a(-p^a) as a Laplace transform of a positive kernel, after
+  substituting away the r^(a-1) endpoint singularity, on a fixed tanh-sinh
+  rule whose segments end at the kernel's Lorentzian peak, at multiples of
+  its width and at the decay scale of the Laplace exponential.
 
 At a = 1 everything collapses to exp/expm1 and is special-cased: the tail
 expansion degenerates there (every reciprocal gamma hits a pole), while the
 exponential is exact.
+
+The package has one tanh-sinh rule, ``_ts_rule`` (step 1/12, 77 nodes per
+segment, checked against its own step-1/6 sub-rule): ``zlab.model`` runs its
+outer integrals on it too.  No code path calls an adaptive quadrature.
 
 All public entry points are pure functions; nothing in this module holds
 mutable state, so concurrent callers need no locking.
@@ -49,7 +56,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+# quad is not called here, but perfbench's tracer wraps special.quad
+from scipy.integrate import quad  # noqa: F401
 
 from .errors import ContractError, QuadratureError
 
@@ -69,6 +77,15 @@ _ASYM_EDGE = 30.0
 # |E_alpha - E_1| <= ~2 |1 - alpha| there, which keeps the substitution error
 # under 1e-11 while avoiding an unresolvably sharp spectral peak.
 _ALPHA_ONE_PAD = 5e-12
+# Spectral points per block, which keeps each node array of the rule under 1 MB.
+_SPECTRAL_BLOCK = 32
+
+# Tanh-sinh rule on (0, 1): y(x) = (1 + tanh(pi/2 sinh x)) / 2 at x = k/12,
+# |k| <= 38.  The nodes are symmetric, so _TS_NODES[::-1] holds 1 - y
+# without cancellation; the weights carry the step and dy/dx.
+_TS_X = np.arange(-38, 39) / 12.0
+_TS_NODES = 1.0 / (1.0 + np.exp(-np.pi * np.sinh(_TS_X)))
+_TS_WEIGHTS = np.pi / 12.0 * np.cosh(_TS_X) * _TS_NODES * _TS_NODES[::-1]
 
 
 @dataclass(frozen=True)
@@ -89,6 +106,28 @@ class MlParams:
             raise ContractError(f"lam must be positive, got {self.lam}")
 
 
+def _ts_rule(fn, lo: np.ndarray, hi: np.ndarray, epsrel: float, what: str) -> np.ndarray:
+    """Tanh-sinh integrals of fn over the segments [lo, hi] (shape (..., m)), summed over m.
+
+    fn maps the nodes u and their exact distances hi - u, both (..., m, 77),
+    to values that broadcast against them.  The even-indexed nodes form the
+    rule at twice the step; QuadratureError names ``what`` if any integral
+    differs from it by more than 1e3 * epsrel * |value|.
+    """
+    width = (hi - lo)[..., None]
+    terms = width * _TS_WEIGHTS * fn(lo[..., None] + width * _TS_NODES,
+                                     width * _TS_NODES[::-1])
+    val = terms.sum(axis=(-2, -1))
+    coarse = 2.0 * terms[..., ::2].sum(axis=(-2, -1))
+    bad = ~(np.isfinite(val) & (np.abs(val - coarse) <= 1e3 * epsrel * np.abs(val)))
+    if np.any(bad):
+        i = np.flatnonzero(bad)[0]
+        raise QuadratureError(
+            f"tanh-sinh rule {what} gave {val.flat[i]:.6e} at step 1/12 and "
+            f"{coarse.flat[i]:.6e} at step 1/6")
+    return val
+
+
 def _recip_gamma(x: float) -> float:
     # 1/Gamma(x), finite for every real x (zero at the poles).
     if x > 0.5:
@@ -96,85 +135,113 @@ def _recip_gamma(x: float) -> float:
     return math.gamma(1.0 - x) * math.sin(math.pi * x) / math.pi
 
 
-def _ml_series(alpha: float, beta: float, z: float) -> float:
-    """sum_{k>=0} (-z)^k / Gamma(alpha*k + beta) by compensated summation.
+def ml_series_grid(alpha: float, shift: float, z: np.ndarray) -> np.ndarray:
+    """Vectorised E_{a,a+shift}(-z) = sum_k (-z)^k / Gamma(a*k + a + shift).
 
-    Only valid in the small-cancellation regime z <= 9.2**alpha (callers
-    enforce this); terms peak near k* = z^(1/alpha)/alpha and then decay
-    super-exponentially, so 250 terms is far more than ever needed.
+    For 0 <= z <= 9.2**alpha only.  The kernel weights depend bit for bit on
+    the gamma argument's evaluation order.
     """
-    terms = []
-    zk = 1.0
-    for k in range(250):
-        term = zk / math.gamma(alpha * k + beta)
-        terms.append(term)
-        if abs(term) < 1e-20 and k > 8:
+    acc = np.zeros_like(z)
+    power = np.ones_like(z)
+    neg_z = -z
+    for k in range(160):
+        g = math.gamma(alpha * k + alpha + shift)
+        acc += power / g
+        power *= neg_z
+        if not (np.abs(power) > 1e-20 * g).any():
             break
-        zk *= -z
-    return math.fsum(terms)
+    return acc
 
 
-def _ml_asym(alpha: float, beta: float, z: float) -> float:
+def _ml_tail(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     """Tail expansion E_{a,b}(-z) ~ sum_{k>=1} (-1)^(k+1) z^-k / Gamma(b - a k).
 
-    Reciprocal gammas go through the reflection formula, and the truncation
-    point is the minimum of the sin-free envelope z^-k Gamma(1 - b + a k)/pi.
+    Reciprocal gammas go through the reflection formula, and each element
+    stops at the minimum of its sin-free envelope z^-k Gamma(1 - b + a k)/pi.
     """
-    total = 0.0
-    env_prev = math.inf
-    zk = 1.0
+    total = np.zeros_like(z)
+    env_prev = np.full_like(z, np.inf)
+    zk = np.ones_like(z)
+    live = np.ones(z.shape, dtype=bool)
     for k in range(1, 400):
         zk /= z
         x = beta - alpha * k
         arg = 1.0 - x
         genv = math.gamma(arg) if arg < 170.0 else math.inf
         env = zk * genv / math.pi
-        if env > env_prev or not math.isfinite(env):
-            break
-        total += (-1) ** (k + 1) * zk * (genv * math.sin(math.pi * x) / math.pi)
+        live &= (env <= env_prev) & np.isfinite(env)
+        total[live] += (-1) ** (k + 1) * zk[live] * (genv * math.sin(math.pi * x) / math.pi)
         env_prev = env
-        if env < 1e-18:
+        live &= env >= 1e-18
+        if not np.any(live):
             break
     return total
 
 
-def _spectral_quad(alpha: float, p: float, power: float) -> float:
-    """Integrate u^power * exp(-p u^(1/a)) / ((u + cos(pi a))^2 + sin(pi a)^2).
+def _ml_spectral(alpha: float, p: np.ndarray, power: float) -> np.ndarray:
+    """sin(pi a)/(a pi) int_0^upper u^power exp(-p u^(1/a)) / ((u + cos(pi a))^2 + sin(pi a)^2) du.
 
-    This is the spectral (Laplace-transform) kernel after the substitution
-    r = u^(1/a); ``power = 0`` gives E_a(-p^a) and ``power = 1/a`` gives the
-    standard density at p, both up to the prefactor sin(pi a)/(a pi).  The
-    denominator is kept in completed-square form (the expanded quadratic
-    cancels catastrophically as a -> 1).  Its Lorentzian peak at
-    u = -cos(pi a) has width sin(pi a), which gets arbitrarily sharp as
-    a -> 1, so that neighbourhood is integrated separately with breakpoints
-    at the true peak scale.
+    The spectral (Laplace-transform) kernel after r = u^(1/a), per element of
+    p: ``power = 0`` gives E_a(-p^a), ``power = 1/a`` the standard density at
+    p; at upper = (50/p)^a the exponential is e^-50.  The rule runs in
+    w = u + cos(pi a), so the Lorentzian denominator does not cancel as
+    a -> 1, where its width sin(pi a) vanishes.  Segments end at u = 0, at
+    the peak w = 0, at w = +-sin(pi a) * 8^j (clipped to upper) and where the
+    exponential is e^-1 and e^-8, a sharp step for small a.
     """
-    sa = math.sin(alpha * math.pi)
-    ca = math.cos(alpha * math.pi)
+    # through 1 - a, which is exact, so sin(pi a) keeps its digits as a -> 1
+    sa, ca = math.sin(math.pi * (1.0 - alpha)), -math.cos(math.pi * (1.0 - alpha))
     inv_a = 1.0 / alpha
+    w_upper = (50.0 / p) ** alpha + ca
+    spread = sa * 8.0 ** np.arange(16)
+    peak_edges = np.unique(np.clip(np.concatenate([[ca, 0.0], -spread, spread]),
+                                   ca, w_upper.max(initial=ca)))
+    edges = np.sort(np.concatenate([np.minimum(peak_edges, w_upper[:, None]),
+                                    (np.array([1.0, 8.0]) / p[:, None]) ** alpha + ca], axis=1))
+    out = np.empty_like(p)
+    for i in range(0, p.size, _SPECTRAL_BLOCK):
+        block = slice(i, i + _SPECTRAL_BLOCK)
+        pb = p[block, None, None]
 
-    def g(u: float) -> float:
-        d = u + ca
-        return u**power * math.exp(-p * u**inv_a) / (d * d + sa * sa)
+        def g(w, _):
+            u = w - ca
+            return u**power * np.exp(-pb * u**inv_a) / (w * w + sa * sa)
 
-    upper = (50.0 / p) ** alpha
-    peak = -ca
-    width = max(sa, 1e-4)
-    total = 0.0
-    lo, hi = max(0.0, peak - 6.0 * width), min(upper, peak + 6.0 * width)
-    for a_seg, b_seg in ((0.0, lo), (lo, hi), (hi, upper)):
-        if b_seg <= a_seg:
-            continue
-        pts = [x for x in (peak - width, peak - sa, peak, peak + sa, peak + width)
-               if a_seg < x < b_seg]
-        val, err = quad(g, a_seg, b_seg, points=pts or None, limit=300,
-                        epsabs=1e-18, epsrel=1e-13)
-        if not math.isfinite(val):
-            raise QuadratureError(
-                f"spectral quadrature failed (alpha={alpha}, p={p})")
-        total += val
-    return sa / (alpha * math.pi) * total
+        out[block] = _ts_rule(g, edges[block, :-1], edges[block, 1:], 1e-11,
+                              f"on the Mittag-Leffler spectral integral (alpha={alpha})")
+    return sa / (alpha * math.pi) * out
+
+
+def _ml_eval(alpha: float, z: np.ndarray, kind: str) -> np.ndarray:
+    """Elementwise over an array z >= 0, for 0 < alpha <= 1:
+
+    ``"neg"``: E_alpha(-z); ``"cdf"``: 1 - E_alpha(-z), summed in the series
+    regime as z E_{alpha,alpha+1}(-z) so that tiny values keep their relative
+    accuracy; ``"density"``: the standard density f(y; alpha, 1) at
+    y = z^(1/alpha), for z > 0.
+    """
+    if alpha >= 1.0 - _ALPHA_ONE_PAD:
+        return -np.expm1(-z) if kind == "cdf" else np.exp(-z)
+    density = kind == "density"
+    beta = alpha if density else 1.0
+    series = z <= _SERIES_EDGE**alpha
+    tail = z >= _ASYM_EDGE**alpha
+    spectral = ~(series | tail)
+    out = np.empty_like(z)
+    zs = z[series]
+    out[series] = zs * ml_series_grid(alpha, 1.0, zs) if kind == "cdf" \
+        else ml_series_grid(alpha, beta - alpha, zs)
+    if np.any(tail):
+        out[tail] = _ml_tail(alpha, beta, z[tail])
+    if np.any(spectral):
+        out[spectral] = _ml_spectral(alpha, z[spectral] ** (1.0 / alpha),
+                                     1.0 / alpha if density else 0.0)
+    if density:
+        # series and tail gave E_{alpha,alpha}(-z) = f(y) * y^(1-alpha)
+        out[~spectral] *= z[~spectral] ** (1.0 - 1.0 / alpha)
+    elif kind == "cdf":
+        out[~series] = 1.0 - out[~series]
+    return out
 
 
 def ml_neg(alpha: float, x: float) -> float:
@@ -187,15 +254,7 @@ def ml_neg(alpha: float, x: float) -> float:
         raise ContractError(f"alpha must lie in (0, 1], got {alpha}")
     if x < 0.0 or not math.isfinite(x):
         raise ContractError(f"x must be finite and >= 0, got {x}")
-    if alpha >= 1.0 - _ALPHA_ONE_PAD:
-        return math.exp(-x)
-    if x == 0.0:
-        return 1.0
-    if x <= _SERIES_EDGE**alpha:
-        return _ml_series(alpha, 1.0, x)
-    if x >= _ASYM_EDGE**alpha:
-        return _ml_asym(alpha, 1.0, x)
-    return _spectral_quad(alpha, x ** (1.0 / alpha), 0.0)
+    return float(_ml_eval(alpha, np.array([x], dtype=float), "neg")[0])
 
 
 def ml_density(p: MlParams, x: float) -> float:
@@ -209,16 +268,8 @@ def ml_density(p: MlParams, x: float) -> float:
     if x <= 0.0 or not math.isfinite(x):
         raise ContractError(f"x must be finite and > 0, got {x}")
     alpha, lam = p.alpha, p.lam
-    if alpha >= 1.0 - _ALPHA_ONE_PAD:
-        return lam * math.exp(-lam * x)
-    scale = lam ** (1.0 / alpha)
-    y = scale * x
-    z = lam * x**alpha
-    if z <= _SERIES_EDGE**alpha:
-        return scale * y ** (alpha - 1.0) * _ml_series(alpha, alpha, z)
-    if z >= _ASYM_EDGE**alpha:
-        return scale * y ** (alpha - 1.0) * _ml_asym(alpha, alpha, z)
-    return scale * _spectral_quad(alpha, y, 1.0 / alpha)
+    z = np.array([lam * x**alpha])
+    return lam ** (1.0 / alpha) * float(_ml_eval(alpha, z, "density")[0])
 
 
 def ml_cdf(p: MlParams, x: float) -> float:
@@ -230,88 +281,35 @@ def ml_cdf(p: MlParams, x: float) -> float:
     """
     if x < 0.0 or not math.isfinite(x):
         raise ContractError(f"x must be finite and >= 0, got {x}")
-    alpha, lam = p.alpha, p.lam
-    if x == 0.0:
-        return 0.0
-    if alpha >= 1.0 - _ALPHA_ONE_PAD:
-        return -math.expm1(-lam * x)
-    z = lam * x**alpha
-    if z <= _SERIES_EDGE**alpha:
-        return z * _ml_series(alpha, alpha + 1.0, z)
-    if z >= _ASYM_EDGE**alpha:
-        return 1.0 - _ml_asym(alpha, 1.0, z)
-    return 1.0 - _spectral_quad(alpha, z ** (1.0 / alpha), 0.0)
-
-
-def ml_series_grid(alpha: float, shift: float, z: np.ndarray) -> np.ndarray:
-    """Vectorised E_{a,a+shift}(-z) = sum_k (-z)^k / Gamma(a*k + a + shift).
-
-    For 0 <= z <= 9.2**alpha only, like ``_ml_series``.  The kernel weights
-    depend bit for bit on the gamma argument's evaluation order.
-    """
-    acc = np.zeros_like(z)
-    power = np.ones_like(z)
-    for k in range(160):
-        g = math.gamma(alpha * k + alpha + shift)
-        acc += power / g
-        power *= -z
-        if not np.any(np.abs(power) > 1e-20 * g):
-            break
-    return acc
+    return float(_ml_eval(p.alpha, np.array([p.lam * x**p.alpha]), "cdf")[0])
 
 
 def ml_cdf_grid(p: MlParams, x: np.ndarray) -> np.ndarray:
-    """Vectorised ``ml_cdf`` over a nonnegative array.
-
-    The series regime (which covers every argument the simulation kernel
-    weights ever need at production parameters) is evaluated as a vectorised
-    polynomial pass; stray points beyond it fall back to the scalar path.
-    """
+    """Vectorised ``ml_cdf`` over a nonnegative 1-d array."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ContractError("ml_cdf_grid expects a 1-d array")
     if np.any(x < 0.0) or not np.all(np.isfinite(x)):
         raise ContractError("ml_cdf_grid arguments must be finite and >= 0")
-    alpha, lam = p.alpha, p.lam
-    if alpha >= 1.0 - _ALPHA_ONE_PAD:
-        return -np.expm1(-lam * x)
-    z = lam * np.power(x, alpha)
-    out = np.empty_like(z)
-    small = z <= _SERIES_EDGE**alpha
-    if np.any(small):
-        zs = z[small]
-        out[small] = zs * ml_series_grid(alpha, 1.0, zs)
-    for i in np.nonzero(~small)[0]:
-        out[i] = ml_cdf(p, float(x[i]))
-    return out
-
-
-def _phi_tail_coeffs(alpha: float) -> tuple[float, float, float]:
-    # Standard-density tail f(y;a,1) ~ c1 y^(-a-1) + c2 y^(-2a-1) + c3 y^(-3a-1).
-    return (-_recip_gamma(-alpha), _recip_gamma(-2.0 * alpha), -_recip_gamma(-3.0 * alpha))
-
-
-def _phi_sq_tail(alpha: float, y0: float) -> float:
-    """Closed-form integral of the squared standard-density tail beyond y0 >= 30."""
-    c1, c2, c3 = _phi_tail_coeffs(alpha)
-    a = alpha
-    return (c1 * c1 * y0 ** (-2 * a - 1) / (2 * a + 1)
-            + 2 * c1 * c2 * y0 ** (-3 * a - 1) / (3 * a + 1)
-            + (c2 * c2 + 2 * c1 * c3) * y0 ** (-4 * a - 1) / (4 * a + 1))
+    return _ml_eval(p.alpha, p.lam * np.power(x, p.alpha), "cdf")
 
 
 def density_sq_tail(p: MlParams, x0: float) -> float:
     """Integral of f(x; alpha, lam)^2 over [x0, inf) for x0 deep in the tail.
 
     Requires lam^(1/alpha) * x0 >= 30 so the three-term algebraic expansion
-    of the density is accurate; used for tail truncation of semi-infinite
-    quadratures elsewhere in the package.
+    of the standard density, f(y; a, 1) ~ c1 y^(-a-1) + c2 y^(-2a-1) +
+    c3 y^(-3a-1), is accurate; integrated in closed form.
     """
-    scale = p.lam ** (1.0 / p.alpha)
+    a = p.alpha
+    scale = p.lam ** (1.0 / a)
     y0 = scale * x0
-    if p.alpha < 1.0 and y0 < _ASYM_EDGE:
+    if a < 1.0 and y0 < _ASYM_EDGE:
         raise ContractError(f"tail start {x0} too small (scaled {y0} < {_ASYM_EDGE})")
-    return scale * _phi_sq_tail(p.alpha, y0)
+    c1, c2, c3 = -_recip_gamma(-a), _recip_gamma(-2.0 * a), -_recip_gamma(-3.0 * a)
+    return scale * (c1 * c1 * y0 ** (-2 * a - 1) / (2 * a + 1)
+                    + 2 * c1 * c2 * y0 ** (-3 * a - 1) / (3 * a + 1)
+                    + (c2 * c2 + 2 * c1 * c3) * y0 ** (-4 * a - 1) / (4 * a + 1))
 
 
 def l2_norm_f_squared(p: MlParams) -> float:
@@ -320,29 +318,23 @@ def l2_norm_f_squared(p: MlParams) -> float:
     Finite only for alpha > 1/2 (the squared origin singularity s^(2a-2)
     must be integrable), which ``MlParams`` already guarantees.  The origin
     piece is computed after the substitution y = v^(1/(2a-1)) that absorbs
-    the singularity, the mid section by adaptive quadrature, and the tail
-    beyond y = 50 from the algebraic expansion of the density.
+    the singularity, the mid section on [0.5, 50], both on the tanh-sinh
+    rule, and the tail beyond y = 50 from the algebraic expansion of the
+    density.  The origin piece is cut where y^a falls by factors of 8, which
+    v^(a/(2a-1)) makes a sharp rise near its end as a -> 1/2.
     """
     alpha, lam = p.alpha, p.lam
     if alpha == 1.0:
         return 0.5 * lam
     a_edge, tail_edge = 0.5, 50.0
     expo = alpha / (2.0 * alpha - 1.0)
-
-    def origin_integrand(v: float) -> float:
-        return _ml_series(alpha, alpha, v**expo) ** 2 / (2.0 * alpha - 1.0)
-
-    origin, err = quad(origin_integrand, 0.0, a_edge ** (2.0 * alpha - 1.0),
-                       limit=200, epsabs=1e-15, epsrel=1e-11)
-
-    std = MlParams(alpha, 1.0)
-
-    def mid_integrand(y: float) -> float:
-        return ml_density(std, y) ** 2
-
-    mid, err2 = quad(mid_integrand, a_edge, tail_edge, limit=300,
-                     epsabs=1e-15, epsrel=1e-11)
-    if err + err2 > 1e-8 * max(origin + mid, 1e-300):
-        raise QuadratureError("l2_norm_f_squared quadrature did not converge")
-    tail = _phi_sq_tail(alpha, tail_edge)
-    return lam ** (1.0 / alpha) * (origin + mid + tail)
+    v_edges = np.concatenate([[0.0], a_edge ** (2.0 * alpha - 1.0)
+                              * 8.0 ** (-np.arange(3.0, -1.0, -1.0) / expo)])
+    origin = _ts_rule(lambda v, _: ml_series_grid(alpha, 0.0, v**expo) ** 2,
+                      v_edges[:-1], v_edges[1:], 1e-11,
+                      "on the origin piece of l2_norm_f_squared")
+    y_edges = np.array([a_edge, 2.0, 8.0, 32.0, tail_edge])
+    mid = _ts_rule(lambda y, _: _ml_eval(alpha, y**alpha, "density") ** 2,
+                   y_edges[:-1], y_edges[1:], 1e-11, "on the mid piece of l2_norm_f_squared")
+    tail = density_sq_tail(MlParams(alpha, 1.0), tail_edge)
+    return lam ** (1.0 / alpha) * (float(origin) / (2.0 * alpha - 1.0) + float(mid) + tail)

@@ -5,7 +5,10 @@ digits) evaluating the defining power series in extended precision and,
 independently, the spectral Laplace-transform representation; both routes
 agree to >= 20 digits on every frozen point.  The hardest value,
 E_0.55(-100), was additionally confirmed by brute-force summation of 21634
-series terms at 2000 digits.
+series terms at 2000 digits.  The points at alpha = 0.999 and 0.99999 lie in
+the spectral band next to the kernel's sharp peak; they come from the series
+at 60 digits, confirmed at 90, with alpha taken as the double it rounds to
+(at 1 - alpha = 1e-5 the decimal alpha moves E by ~5e-12 relative).
 """
 
 import math
@@ -28,6 +31,10 @@ ML_NEG_ORACLE = [
     (0.75, 7.0, 0.04580712045223096816328),
     (0.75, 40.0, 0.007075674755826427833626),
     (0.9, 15.0, 0.007928602432344447056984),
+    (0.999, 12.0, 1.089497871981649165782259e-4),
+    (0.999, 20.0, 5.597906803527708741006869e-5),
+    (0.99999, 12.0, 7.172187930319341071631967e-6),
+    (0.99999, 20.0, 5.616211240337638394428698e-7),
 ]
 
 
