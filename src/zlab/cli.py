@@ -443,9 +443,10 @@ def cmd_compare(args) -> int:
         cells = []
         for name in names:
             val = cols[name][i]
-            cells.append("" if isinstance(val, float) and math.isnan(val)
-                         else (f"{val:.12g}" if not float(val).is_integer() or name not in ("k",)
-                               else f"{int(val)}"))
+            if name == "k":
+                cells.append(f"{int(val)}")
+            else:
+                cells.append("" if math.isnan(val) else f"{val:.12g}")
         lines.append(",".join(cells))
     csv_text = ",".join(names) + "\n" + "\n".join(lines) + "\n"
     payload = {name: [None if isinstance(v, float) and math.isnan(v) else float(v)

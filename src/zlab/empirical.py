@@ -261,7 +261,8 @@ def c2(series: DailySeries, tau: int) -> float:
     return float(np.mean((s2_leg - s2_leg.mean()) * r2_leg))
 
 
-def _corr(series: DailySeries, tau: int) -> tuple[float, float]:
+def _corr(series: DailySeries, tau: int) -> tuple[float, float, int]:
+    """Correlation, covariance and number of valid pairs at lag tau."""
     t, lag = _valid_pairs(series, tau)
     if t.size < MIN_PAIRS:
         raise ContractError(f"only {t.size} valid pairs at tau={tau}; need {MIN_PAIRS}")
@@ -272,7 +273,7 @@ def _corr(series: DailySeries, tau: int) -> tuple[float, float]:
     var_r = float(np.mean((r2_leg - r2_leg.mean()) ** 2))
     if var_s <= 0.0 or var_r <= 0.0:
         raise ContractError(f"zero variance denominator at tau={tau}")
-    return cov / math.sqrt(var_s * var_r), cov
+    return cov / math.sqrt(var_s * var_r), cov, t.size
 
 
 def rho_curve(series: DailySeries, tau_max: int = 100) -> TraCurve:
@@ -286,9 +287,8 @@ def rho_curve(series: DailySeries, tau_max: int = 100) -> TraCurve:
     rho_b = np.empty(tau_max)
     n_obs = np.empty(tau_max, dtype=int)
     for i, tau in enumerate(taus):
-        rho_f[i], c_f[i] = _corr(series, int(tau))
-        rho_b[i], c_b[i] = _corr(series, -int(tau))
-        n_obs[i] = _valid_pairs(series, int(tau))[0].size
+        rho_f[i], c_f[i], n_obs[i] = _corr(series, int(tau))
+        rho_b[i], c_b[i], _ = _corr(series, -int(tau))
     return TraCurve(taus=taus, c2_fwd=c_f, c2_bwd=c_b,
                     rho_fwd=rho_f, rho_bwd=rho_b, n_obs=n_obs)
 

@@ -37,10 +37,10 @@ kernel of ``g0``) go through ``_kernel_integral``: the substitution
 u = v^(1/alpha) removes the u^(alpha-1) singularity at the origin, and a
 fixed 48-node Gauss-Legendre rule runs between curve kinks.  Outer integrals
 over the CDF F go through ``_ts_quad``, which runs the package's one fixed
-tanh-sinh rule from :mod:`zlab.special` (the Mittag-Leffler evaluator uses
-it too).  Its nodes crowd doubly exponentially into the segment ends, so the
-algebraic endpoint singularities of F(s) and F(delta - s) need no
-substitution; it checks itself against the rule at twice its step.
+tanh-sinh rule from :mod:`zlab.special`.  Its nodes crowd doubly
+exponentially into the segment ends, so the algebraic endpoint
+singularities of F(s) and F(delta - s) need no substitution; it checks
+itself against the rule at twice its step.
 Segments end at curve kinks and, on long ranges, at the day scales
 delta * 8^j.  The semi-infinite integral of the stationary limit adds a
 closed-form algebraic tail.

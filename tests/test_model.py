@@ -25,7 +25,7 @@ from zlab.model import (TRADING_DAY, ForwardVarianceCurve, ModelParams,
                         stationary_fourth_moment_r, stationary_var_sigma2,
                         var_sigma2, zumbach_asymptotic, zumbach_correl,
                         zumbach_correl_small_delta, zumbach_cov, zumbach_curve)
-from zlab.special import MlParams, l2_norm_f_squared, ml_cdf
+from zlab.special import MlParams, l2_norm_f_squared, ml_cdf, ml_series_grid
 
 D = TRADING_DAY
 SEC4 = ModelParams(hurst=0.05, lam=0.3, nu=0.45, rho=-0.7)
@@ -230,19 +230,24 @@ class TestZumbachCov:
 
     def test_knot_inside_the_day_is_cut(self):
         # kink of xi0 at t - delta/2 leaves the integrand a weak singularity
-        # at s = delta/2; independent reference from nested adaptive quad,
-        # with the inner integral in its integrated-by-parts form
+        # at s = delta/2; independent reference from adaptive quad, with the
+        # inner integral in its integrated-by-parts form
         # F(delta-s) xi0(t-delta) + int_0^(delta-s) F(u) xi0'(t-s-u) du
+        # and int_0^x F = x z E_{a,a+2}(-z), z = lam x^a, summed as a series
         t, k = 1.0, 2
         knot = t - D / 2
         pl = ForwardVarianceCurve.piecewise_linear([0.0, knot, 2.0], [0.02, 0.05, 0.02])
         p = SEC4.ml()
         slope_lo, slope_hi = 0.03 / knot, -0.03 / (2.0 - knot)
 
+        def int_cdf(x):
+            z = p.lam * x**p.alpha
+            return x * z * float(ml_series_grid(p.alpha, 2.0, np.array([z]))[0])
+
         def inner(s):
             split = min(t - s - knot, D - s) if s < D / 2 else 0.0
-            lo = quad(lambda u: ml_cdf(p, u), 0.0, split, epsabs=0.0, epsrel=1e-13)[0]
-            hi = quad(lambda u: ml_cdf(p, u), split, D - s, epsabs=0.0, epsrel=1e-13)[0]
+            lo = int_cdf(split)
+            hi = int_cdf(D - s) - lo
             return ml_cdf(p, D - s) * pl(t - D) + slope_hi * lo + slope_lo * hi
 
         def outer(s):
