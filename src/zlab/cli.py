@@ -318,11 +318,13 @@ def cmd_simulate(args) -> int:
         n_paths=args.paths, steps_per_day=args.steps_per_day, n_days=args.days,
         delta=args.delta, seed=args.seed, antithetic=args.antithetic,
         memory_budget_mb=args.memory_budget_mb)
-    batch = sim.simulate_paths(params, curve, config, threads=args.threads)
     t_day = args.t_day if args.t_day is not None else max(1, args.days // 2)
+    if t_day < 1:
+        raise ContractError(f"t_day must be >= 1, got {t_day}")
     if t_day + args.k_max > args.days:
         raise ContractError(
             f"t_day + k_max = {t_day + args.k_max} exceeds horizon {args.days}")
+    batch = sim.simulate_paths(params, curve, config, threads=args.threads)
 
     ks = np.arange(1, args.k_max + 1)
     rows = [sim.estimate_zumbach_mc(batch, t_day, int(k)) for k in ks]

@@ -169,8 +169,10 @@ def ingest(path, fmt: str = "generic_csv", rv_column: str = "rk_parzen",
     demean : bool
         Subtract each index's sample mean return.
 
-    Rows with unparsable or missing values are dropped and counted per
-    index.  Unknown symbols pass through untouched (no universe filter).
+    Rows with missing, non-finite (``inf``, or overflowing like ``1e400``)
+    or negative-variance values are dropped and counted per index; a row
+    that does not parse is a ParseError.  Unknown symbols pass through
+    untouched (no universe filter).
     """
     if fmt not in ("generic_csv", "oxford_csv"):
         raise ContractError(f"unknown format {fmt!r}")
@@ -211,10 +213,10 @@ def ingest(path, fmt: str = "generic_csv", rv_column: str = "rk_parzen",
                     close_p = _parse_float(fields[3])
                     s2_val = _parse_float(fields[4])
                     r_val = math.log(close_p / open_p) \
-                        if open_p > 0.0 and close_p > 0.0 else math.nan
+                        if 0.0 < open_p < math.inf and 0.0 < close_p < math.inf else math.nan
             except (ValueError, OverflowError):
                 raise ParseError(f"{path}: line {lineno}: unparsable row") from None
-            if math.isnan(r_val) or math.isnan(s2_val) or s2_val < 0.0:
+            if not (math.isfinite(r_val) and math.isfinite(s2_val)) or s2_val < 0.0:
                 dropped[key] = dropped.get(key, 0) + 1
                 continue
             per_index.setdefault(key, []).append((date, r_val, s2_val))

@@ -148,10 +148,16 @@ class TestSimulateCommand:
         assert not dump.exists()
         assert not list(dump.parent.glob("*.tmp"))
 
-    def test_horizon_guard(self, tmp_path):
-        code = run(tmp_path, ["simulate", "--paths", "10", "--steps-per-day", "2",
-                              "--days", "10", "--t-day", "9", "--k-max", "5"])
-        assert code == 4
+    def test_horizon_guard(self, tmp_path, monkeypatch):
+        # checked before the run: a simulation that starts fails the test
+        def no_run(*args, **kw):
+            raise AssertionError("simulate_paths ran before the lag checks")
+
+        monkeypatch.setattr(sim, "simulate_paths", no_run)
+        for t_day in ("9", "0"):
+            code = run(tmp_path, ["simulate", "--paths", "10", "--steps-per-day", "2",
+                                  "--days", "10", "--t-day", t_day, "--k-max", "5"])
+            assert code == 4
 
 
 class TestEmpiricalCommand:

@@ -69,6 +69,21 @@ class TestIngest:
         assert len(series) == 2
         assert series.n_dropped == 1
 
+    def test_non_finite_rows_dropped_and_recorded(self, tmp_path):
+        # inf and the overflowing 1e400 count as missing, so demeaning stays finite
+        f = tmp_path / "inf.csv"
+        f.write_text("index_id,date,r,s2\nA,2001-01-01,0.02,1e-4\nA,2001-01-02,inf,1e-4\n"
+                     "A,2001-01-03,0.04,1e400\nA,2001-01-04,-0.01,2e-4\n")
+        (series,) = ingest(f, demean=True)
+        assert series.n_dropped == 2
+        np.testing.assert_allclose(series.r, [0.015, -0.015])
+        g = tmp_path / "inf_oxford.csv"
+        g.write_text("Symbol,date,open_price,close_price,rk_parzen\n"
+                     ".SPX,2001-01-01,100,101,0.0001\n.SPX,2001-01-02,100,inf,0.0001\n"
+                     ".SPX,2001-01-03,1e400,101,0.0001\n.SPX,2001-01-04,100,101,-inf\n")
+        (series,) = ingest(g, fmt="oxford_csv")
+        assert len(series) == 1 and series.n_dropped == 3
+
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(3)
         originals = [random_series(rng, 25, "A"), random_series(rng, 31, "B")]
