@@ -227,6 +227,13 @@ def _model_inputs(args) -> tuple[mdl.ModelParams, mdl.ForwardVarianceCurve]:
     return params, curve
 
 
+def _lags(args) -> np.ndarray:
+    """Lags 1..k_max in days, checked before any work or output."""
+    if args.k_max < 1:
+        raise ContractError(f"k_max must be >= 1, got {args.k_max}")
+    return np.arange(1, args.k_max + 1)
+
+
 def _emit(args, stem: str, write_csv, write_json) -> Path:
     """Write ``stem.csv`` or ``stem.json``, running only the selected writer."""
     path = Path(args.output_dir) / f"{stem}.{args.format}"
@@ -286,7 +293,7 @@ def cmd_empirical(args) -> int:
 
 def cmd_model(args) -> int:
     params, curve = _model_inputs(args)
-    ks = np.arange(1, args.k_max + 1)
+    ks = _lags(args)
     zc = mdl.zumbach_curve(params, curve, args.t, ks, args.delta)
     header = f"# delta={args.delta!r} t={args.t!r}\n"
     cols = "k,tau_years,zumbach_cov,zumbach_asymptotic"
@@ -318,6 +325,7 @@ def cmd_simulate(args) -> int:
         n_paths=args.paths, steps_per_day=args.steps_per_day, n_days=args.days,
         delta=args.delta, seed=args.seed, antithetic=args.antithetic,
         memory_budget_mb=args.memory_budget_mb)
+    ks = _lags(args)
     t_day = args.t_day if args.t_day is not None else max(1, args.days // 2)
     if t_day < 1:
         raise ContractError(f"t_day must be >= 1, got {t_day}")
@@ -326,7 +334,6 @@ def cmd_simulate(args) -> int:
             f"t_day + k_max = {t_day + args.k_max} exceeds horizon {args.days}")
     batch = sim.simulate_paths(params, curve, config, threads=args.threads)
 
-    ks = np.arange(1, args.k_max + 1)
     rows = [sim.estimate_zumbach_mc(batch, t_day, int(k)) for k in ks]
     moments = sim.estimate_moments_mc(batch, t_day)
 

@@ -133,12 +133,11 @@ def _parse_float(text: str) -> float:
     return float(text)
 
 
-def _finish_series(index_id, rows, dropped, out, sort=True):
+def _finish_series(index_id, rows, dropped, out):
     if not rows:
         warnings.warn(f"index {index_id!r}: no usable rows after cleaning", stacklevel=3)
         return
-    if sort:
-        rows.sort(key=lambda row: row[0])
+    rows.sort(key=lambda row: row[0])
     dates = np.array([row[0] for row in rows], dtype="datetime64[D]")
     if np.any(np.diff(dates) <= np.timedelta64(0, "D")):
         raise ParseError(f"index {index_id!r}: duplicate dates after sorting")
@@ -212,8 +211,10 @@ def ingest(path, fmt: str = "generic_csv", rv_column: str = "rk_parzen",
                     open_p = _parse_float(fields[2])
                     close_p = _parse_float(fields[3])
                     s2_val = _parse_float(fields[4])
-                    r_val = math.log(close_p / open_p) \
+                    ratio = close_p / open_p \
                         if 0.0 < open_p < math.inf and 0.0 < close_p < math.inf else math.nan
+                    # a ratio that underflows to 0 is as unusable as a missing price
+                    r_val = math.log(ratio) if ratio > 0.0 else math.nan
             except (ValueError, OverflowError):
                 raise ParseError(f"{path}: line {lineno}: unparsable row") from None
             if not (math.isfinite(r_val) and math.isfinite(s2_val)) or s2_val < 0.0:

@@ -35,7 +35,10 @@ Implemented quantities
 Quadrature policy: integrals against the density f (or the fractional
 kernel of ``g0``) go through ``_kernel_integral``: the substitution
 u = v^(1/alpha) removes the u^(alpha-1) singularity at the origin, and a
-fixed 48-node Gauss-Legendre rule runs between curve kinks.  Outer integrals
+fixed 48-node Gauss-Legendre rule runs between curve kinks.  It integrates
+a whole array of upper limits in one batch, flat curves included, so every
+quadrature node at which a caller needs the inner integral goes through one
+call.  Outer integrals
 over the CDF F go through ``_ts_quad``, which runs the package's one fixed
 tanh-sinh rule from :mod:`zlab.special`.  Its nodes crowd doubly
 exponentially into the segment ends, so the algebraic endpoint
@@ -164,10 +167,6 @@ class ForwardVarianceCurve:
             raise ContractError("level is only defined for flat curves")
         return float(self._values[0])
 
-    @property
-    def knot_times(self) -> np.ndarray:
-        return self._times.copy()
-
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr < 0.0):
@@ -233,42 +232,39 @@ def _ts_quad(fn, a: float, b: float, cuts=(), epsrel: float = 1e-8) -> float | n
     return float(val) if val.ndim == 0 else val
 
 
-def _kernel_integral(alpha: float, lam: float, upper: float, fn, cuts=()) -> float:
-    """int_0^upper u^(alpha-1) E_{alpha,alpha}(-lam u^alpha) fn(u) du.
+def _kernel_integral(alpha: float, lam: float, upper: np.ndarray, fn,
+                     cuts: np.ndarray) -> np.ndarray:
+    """int_0^upper[i] u^(alpha-1) E_{alpha,alpha}(-lam u^alpha) fn(u)[i] du for every i.
 
     lam times this kernel is the density f; lam = 0 gives the fractional
     kernel u^(alpha-1) / Gamma(alpha), because E_{alpha,alpha}(0) =
     1/Gamma(alpha).  The substitution u = v^(1/alpha) removes the u^(alpha-1)
     singularity, leaving E_{alpha,alpha}(-lam v) fn(v^(1/alpha)) / alpha,
     which fixed 48-node Gauss-Legendre integrates on each segment between
-    the ``cuts``: the kinks of fn in (0, upper).  fn maps arrays to arrays.
+    the kinks of fn: row i of ``cuts`` (shape (n, m)), clipped into
+    [0, upper[i]].  Cuts outside that range make zero-width segments, which
+    add exactly 0.  fn is called once, on the nodes u of shape (n, m + 1, 48).
     """
-    if upper <= 0.0:
-        return 0.0
     v_hi = upper**alpha
-    cut_v = np.clip(np.asarray(cuts, dtype=float) ** alpha, 0.0, v_hi)
-    edges = np.unique(np.concatenate([[0.0, v_hi], cut_v]))
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        v = mid + half * _GL_NODES
-        vals = ml_series_grid(alpha, 0.0, lam * v) * fn(v ** (1.0 / alpha))
-        total += half * float(np.dot(_GL_WEIGHTS, vals))
-    return total / alpha
+    cut_v = np.clip(cuts, 0.0, upper[:, None]) ** alpha
+    edges = np.sort(np.column_stack([np.zeros_like(v_hi), v_hi, cut_v]), axis=1)
+    mid, half = 0.5 * (edges[:, :-1] + edges[:, 1:]), 0.5 * np.diff(edges, axis=1)
+    v = mid[..., None] + half[..., None] * _GL_NODES
+    vals = ml_series_grid(alpha, 0.0, lam * v) * fn(v ** (1.0 / alpha))
+    return (half * (vals @ _GL_WEIGHTS)).sum(axis=1) / alpha
 
 
 def _f_conv_curve(params: ModelParams, curve: ForwardVarianceCurve,
                   upper: np.ndarray, t_arg: np.ndarray) -> np.ndarray:
     """int_0^upper f(u) xi0(t_arg - u) du elementwise over 1-d arrays.
 
-    xi0 * F(upper) on a flat curve; otherwise one ``_kernel_integral`` per
-    element, split at the curve's kinks.
+    One ``_kernel_integral`` call for every curve, cut at the curve's kinks
+    inside the union of the ranges (t_arg - upper, t_arg).
     """
-    if curve.is_flat:
-        return curve.level * ml_cdf_grid(params.ml(), upper)
-    return np.array([params.lam * _kernel_integral(
-        params.alpha, params.lam, up, lambda u: curve(ta - u),
-        ta - curve._kinks_between(ta - up, ta)) for up, ta in zip(upper, t_arg)])
+    kinks = curve._kinks_between(float(np.min(t_arg - upper)), float(np.max(t_arg)))
+    return params.lam * _kernel_integral(
+        params.alpha, params.lam, upper, lambda u: curve(t_arg[:, None, None] - u),
+        t_arg[:, None] - kinks)
 
 
 def g0(params: ModelParams, curve: ForwardVarianceCurve, t: float) -> float:
@@ -278,11 +274,9 @@ def g0(params: ModelParams, curve: ForwardVarianceCurve, t: float) -> float:
     """
     if t < 0.0:
         raise ContractError(f"t must be >= 0, got {t}")
-    if t == 0.0:
-        return curve(0.0)
     kinks = curve._kinks_between(0.0, t)
-    return curve(t) + params.lam * _kernel_integral(
-        params.alpha, 0.0, t, lambda u: curve(t - u), t - kinks)
+    return curve(t) + params.lam * float(_kernel_integral(
+        params.alpha, 0.0, np.array([t]), lambda u: curve(t - u), (t - kinks)[None, :])[0])
 
 
 def g_alpha(alpha: float, k: int) -> float:
@@ -443,13 +437,16 @@ def fourth_moment_r(params: ModelParams, curve: ForwardVarianceCurve, t: float,
     elif curve.is_flat:
         leverage = curve.level * _int_cdf_bilinear(params.ml(), delta)
     else:
-        def inner(s):
-            # int_0^s f(u) int_0^(s-u) f(x) xi0(c+s-u-x) dx du on a fixed rule
-            return lam * _kernel_integral(params.alpha, lam, s, lambda u: _f_conv_curve(
-                params, curve, s - u, c + s - u))
+        def inner(s, _):
+            # int_0^s f(u) int_0^(s-u) f(x) xi0(c+s-u-x) dx du at every node s;
+            # the middle integral runs without cuts
+            def mid(u):
+                return _f_conv_curve(params, curve, (s[:, None, None] - u).ravel(),
+                                     (c + s[:, None, None] - u).ravel()).reshape(u.shape)
 
-        leverage = _ts_quad(lambda s, _: np.array([inner(si) for si in s]), 0.0, delta,
-                            t - curve._kinks_between(c, t))
+            return lam * _kernel_integral(params.alpha, lam, s, mid, np.empty((s.size, 0)))
+
+        leverage = _ts_quad(inner, 0.0, delta, t - curve._kinks_between(c, t))
     return (12.0 * (rho * nu / lam) ** 2 * leverage + gauss
             + 3.0 * var_sigma2(params, curve, t, delta))
 

@@ -93,6 +93,10 @@ class TestModelCommand:
         assert run(tmp_path, ["model", "--k-max", "2", "--gnuplot"]) == 0
         assert (tmp_path / "model_curve.gp").exists()
 
+    def test_k_max_zero_is_contract_error_without_output(self, tmp_path):
+        assert run(tmp_path, ["model", "--k-max", "0"]) == 4
+        assert list(tmp_path.glob("model_curve.*")) == []
+
     def test_help_documents_units(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["model", "--help"])
@@ -158,6 +162,16 @@ class TestSimulateCommand:
             code = run(tmp_path, ["simulate", "--paths", "10", "--steps-per-day", "2",
                                   "--days", "10", "--t-day", t_day, "--k-max", "5"])
             assert code == 4
+
+    def test_k_max_zero_is_contract_error(self, tmp_path, monkeypatch):
+        def no_run(*args, **kw):
+            raise AssertionError("simulate_paths ran before the lag checks")
+
+        monkeypatch.setattr(sim, "simulate_paths", no_run)
+        code = run(tmp_path, ["simulate", "--paths", "4", "--steps-per-day", "1",
+                              "--days", "10", "--k-max", "0"])
+        assert code == 4
+        assert list(tmp_path.glob("zumbach_mc.*")) == []
 
 
 class TestEmpiricalCommand:

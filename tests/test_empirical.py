@@ -84,6 +84,15 @@ class TestIngest:
         (series,) = ingest(g, fmt="oxford_csv")
         assert len(series) == 1 and series.n_dropped == 3
 
+    def test_underflowing_price_ratio_dropped_and_recorded(self, tmp_path):
+        # close/open underflows to 0: log(0) must not turn the row into a ParseError
+        f = tmp_path / "underflow.csv"
+        f.write_text("Symbol,date,open_price,close_price,rk_parzen\n"
+                     ".SPX,2001-01-01,100,101,0.0001\n"
+                     ".SPX,2001-01-02,1e300,1e-300,0.0001\n")
+        (series,) = ingest(f, fmt="oxford_csv")
+        assert len(series) == 1 and series.n_dropped == 1
+
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(3)
         originals = [random_series(rng, 25, "A"), random_series(rng, 31, "B")]

@@ -21,11 +21,11 @@ from scipy.integrate import quad
 
 from zlab.errors import ContractError
 from zlab.model import (TRADING_DAY, ForwardVarianceCurve, ModelParams,
-                        ZumbachCurve, fourth_moment_r, g0, g_alpha,
+                        ZumbachCurve, _f_conv_curve, fourth_moment_r, g0, g_alpha,
                         stationary_fourth_moment_r, stationary_var_sigma2,
                         var_sigma2, zumbach_asymptotic, zumbach_correl,
                         zumbach_correl_small_delta, zumbach_cov, zumbach_curve)
-from zlab.special import MlParams, l2_norm_f_squared, ml_cdf, ml_series_grid
+from zlab.special import MlParams, l2_norm_f_squared, ml_cdf, ml_cdf_grid, ml_series_grid
 
 D = TRADING_DAY
 SEC4 = ModelParams(hurst=0.05, lam=0.3, nu=0.45, rho=-0.7)
@@ -146,6 +146,31 @@ class TestG0:
     def test_dominates_curve(self):
         for t in (0.1, 0.5, 2.0):
             assert g0(SEC4, FLAT, t) >= FLAT(t)
+
+
+class TestKernelRule:
+    @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.5])
+    def test_flat_curve_is_level_times_cdf(self, hurst):
+        # the closed form xi0 * F(upper) that a flat curve reduces to; t_arg = upper
+        # puts the curve argument down to time 0
+        p = ModelParams(hurst=hurst, lam=0.3, nu=0.45, rho=-0.7)
+        upper = np.array([0.0, 1e-9, D / 7, D / 2, D, 0.1])
+        got = _f_conv_curve(p, FLAT, upper, upper)
+        assert got[0] == 0.0
+        np.testing.assert_allclose(got[1:], 0.025 * ml_cdf_grid(p.ml(), upper[1:]),
+                                   rtol=1e-15, atol=0.0)
+
+    def test_batch_equals_one_element_calls(self):
+        # in a batch, knots outside an element's range become zero-width
+        # segments of that element, which must add nothing
+        pl = ForwardVarianceCurve.piecewise_linear([0.0, 1 - D / 2, 1 - D / 5, 1.5],
+                                                   [0.03, 0.02, 0.04, 0.025])
+        upper = np.linspace(0.0, D, 13)
+        t_arg = 1.0 - D + upper
+        one = [_f_conv_curve(SEC4, pl, upper[i:i + 1], t_arg[i:i + 1])[0]
+               for i in range(upper.size)]
+        np.testing.assert_allclose(_f_conv_curve(SEC4, pl, upper, t_arg), one,
+                                   rtol=1e-15, atol=0.0)
 
 
 class TestGAlpha:

@@ -109,14 +109,20 @@ class TestDeterministicLimits:
 
 class TestReproducibility:
     def test_bitwise_across_chunking_and_threads(self):
-        cfg_a = SimConfig(n_paths=48, steps_per_day=4, n_days=10, seed=7)
-        cfg_b = SimConfig(n_paths=48, steps_per_day=4, n_days=10, seed=7,
+        # 1 MB holds 218 paths of 240 steps: three chunks on two threads
+        cfg_a = SimConfig(n_paths=480, steps_per_day=4, n_days=60, seed=7)
+        cfg_b = SimConfig(n_paths=480, steps_per_day=4, n_days=60, seed=7,
                           memory_budget_mb=1)
+        assert cfg_b.chunk_paths() < cfg_b.n_paths
         a = simulate_paths(SEC4, FLAT, cfg_a)
         b = simulate_paths(SEC4, FLAT, cfg_b, threads=2)
         assert np.array_equal(a.r, b.r) and np.array_equal(a.s2, b.s2)
         assert a.weight_checksum == b.weight_checksum
         assert a.neg_fraction == b.neg_fraction
+        # a path does not depend on how many paths run after it
+        head = simulate_paths(SEC4, FLAT, SimConfig(n_paths=240, steps_per_day=4,
+                                                    n_days=60, seed=7))
+        assert np.array_equal(head.r, b.r[:240]) and np.array_equal(head.s2, b.s2[:240])
 
     def test_seed_changes_output(self):
         base = SimConfig(n_paths=8, steps_per_day=4, n_days=6, seed=7)
