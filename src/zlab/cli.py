@@ -255,11 +255,31 @@ def _maybe_gnuplot(args, stem: str, title: str, columns: list[tuple[int, str]],
     _write_atomic(Path(args.output_dir) / f"{stem}.gp", lambda fh: fh.write(script))
 
 
+def _curve_stems(source, index_ids) -> dict:
+    """Output stem of each index's curve file; colliding names are a ParseError.
+
+    The stem is ``tra_`` plus the id with leading and trailing dots removed
+    and ``/`` replaced by ``_`` (``index`` if nothing is left).
+    ``tra_average`` is the cross-index average's.
+    """
+    by_stem: dict[str, list] = {}
+    for index_id in index_ids:
+        safe = index_id.strip(".").replace("/", "_") or "index"
+        by_stem.setdefault(f"tra_{safe}", []).append(index_id)
+    clashes = [f"{', '.join(map(repr, ids))} -> {stem}" for stem, ids in by_stem.items()
+               if len(ids) > 1 or stem == "tra_average"]
+    if clashes:
+        raise ParseError(f"{source}: index ids collide in output names "
+                         f"(tra_average is the cross-index average): {'; '.join(clashes)}")
+    return {ids[0]: stem for stem, ids in by_stem.items()}
+
+
 def cmd_empirical(args) -> int:
     series = emp.ingest(args.input, fmt=args.input_format, rv_column=args.rv_column,
                         annualize=args.annualize, demean=args.demean)
     if not series:
         raise ParseError(f"{args.input}: no usable series")
+    stems = _curve_stems(args.input, [s.index_id for s in series])
     if args.winsorize is not None:
         series = [emp.winsorize(s, args.winsorize) for s in series]
 
@@ -275,8 +295,7 @@ def cmd_empirical(args) -> int:
 
     paths = []
     for index_id, curve in curves:
-        safe = index_id.strip(".").replace("/", "_") or "index"
-        paths.append(_emit(args, f"tra_{safe}", partial(emp.tra_to_csv, curve),
+        paths.append(_emit(args, stems[index_id], partial(emp.tra_to_csv, curve),
                            partial(emp.tra_to_json, curve)))
     avg = emp.cross_index_average([c for _, c in curves])
     paths.append(_emit(args, "tra_average", partial(emp.tra_to_csv, avg),

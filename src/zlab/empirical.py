@@ -42,6 +42,8 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -127,27 +129,48 @@ class TraCurve:
 
 
 def _parse_float(text: str) -> float:
-    text = text.strip()
-    if not text or text.lower() in ("nan", "na", ""):
-        return math.nan
-    return float(text)
+    """float(text); an empty, blank, NA or NaN token (any case) reads as NaN."""
+    try:
+        return float(text)
+    except ValueError:
+        if text.strip().lower() in ("", "na"):
+            return math.nan
+        raise
 
 
-def _finish_series(index_id, rows, dropped, out):
-    if not rows:
-        warnings.warn(f"index {index_id!r}: no usable rows after cleaning", stacklevel=3)
-        return
-    rows.sort(key=lambda row: row[0])
-    dates = np.array([row[0] for row in rows], dtype="datetime64[D]")
-    if np.any(np.diff(dates) <= np.timedelta64(0, "D")):
-        raise ParseError(f"index {index_id!r}: duplicate dates after sorting")
-    out.append(DailySeries(
-        index_id=index_id,
-        dates=dates,
-        r=np.array([row[1] for row in rows]),
-        s2=np.array([row[2] for row in rows]),
-        n_dropped=dropped,
-    ))
+_BLOCK_ROWS = 1 << 14  # rows converted per step, which bounds the transient memory
+
+
+def _columns(rows: list, idx: list, oxford: bool):
+    """Index ids, dates, r and s2 of non-blank tokenised rows, one column at a time.
+
+    Any bad row raises a ParseError without file or line; on a single row its
+    message names the row's first defect (too few columns, then an empty id,
+    then an unparsable field), as a row-by-row reader would.
+    """
+    try:
+        cols = [list(map(itemgetter(i), rows)) for i in idx]
+    except IndexError:
+        raise ParseError("too few columns") from None
+    keys = [key.strip() for key in cols[0]]
+    if not all(keys):
+        raise ParseError("empty index id")
+    try:
+        dates = np.array([text.strip()[:10] for text in cols[1]], dtype="datetime64[D]")
+        nums = [np.array(list(map(_parse_float, col)), dtype=float) for col in cols[2:]]
+    except (ValueError, OverflowError):
+        raise ParseError("unparsable row") from None
+    if not oxford:
+        r, s2 = nums
+        return keys, dates, r, s2
+    open_p, close_p, s2 = nums
+    with np.errstate(all="ignore"):
+        priced = (0.0 < open_p) & (open_p < math.inf) & (0.0 < close_p) & (close_p < math.inf)
+        ratio = np.where(priced, close_p / open_p, math.nan)
+    # math.log, not np.log, whose vector kernels may differ in the last bit;
+    # a ratio that underflows to 0 is as unusable as a missing price
+    r = np.array([math.log(x) if x > 0.0 else math.nan for x in ratio.tolist()], dtype=float)
+    return keys, dates, r, s2
 
 
 def ingest(path, fmt: str = "generic_csv", rv_column: str = "rk_parzen",
@@ -168,15 +191,23 @@ def ingest(path, fmt: str = "generic_csv", rv_column: str = "rk_parzen",
     demean : bool
         Subtract each index's sample mean return.
 
-    Rows with missing, non-finite (``inf``, or overflowing like ``1e400``)
-    or negative-variance values are dropped and counted per index; a row
-    that does not parse is a ParseError.  Unknown symbols pass through
+    ``csv`` tokenises the file (quoted fields may hold commas); blocks of
+    rows are then converted a column at a time.  Index ids and dates are
+    stripped of surrounding whitespace, dates keep their first 10
+    characters, and an empty, ``NA`` or ``NaN`` number is missing.  Rows
+    with missing, non-finite (``inf``, or overflowing like ``1e400``) or
+    negative-variance values are dropped and counted per index; blank rows
+    are skipped.  The first row in file order that does not parse is a
+    ParseError naming its line.  Each index's rows are sorted by date
+    (a repeated date is a ParseError), and the series come in the order of
+    their first usable row.  An index with no usable row is left out with
+    a warning, in order of first appearance.  Unknown symbols pass through
     untouched (no universe filter).
     """
     if fmt not in ("generic_csv", "oxford_csv"):
         raise ContractError(f"unknown format {fmt!r}")
-    per_index: dict[str, list] = {}
-    dropped: dict[str, int] = {}
+    code_of: dict[str, int] = {}  # index id -> code, in order of first appearance
+    blocks = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -192,59 +223,83 @@ def ingest(path, fmt: str = "generic_csv", rv_column: str = "rk_parzen",
         if missing:
             raise ParseError(f"{path}: header lacks columns {missing}")
         idx = [cols[c] for c in needed]
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                fields = [row[i] for i in idx]
-            except IndexError:
-                raise ParseError(f"{path}: line {lineno}: too few columns") from None
-            key = fields[0].strip()
-            if not key:
-                raise ParseError(f"{path}: line {lineno}: empty index id")
-            try:
-                date = np.datetime64(fields[1].strip()[:10], "D")
-                if fmt == "generic_csv":
-                    r_val = _parse_float(fields[2])
-                    s2_val = _parse_float(fields[3])
-                else:
-                    open_p = _parse_float(fields[2])
-                    close_p = _parse_float(fields[3])
-                    s2_val = _parse_float(fields[4])
-                    ratio = close_p / open_p \
-                        if 0.0 < open_p < math.inf and 0.0 < close_p < math.inf else math.nan
-                    # a ratio that underflows to 0 is as unusable as a missing price
-                    r_val = math.log(ratio) if ratio > 0.0 else math.nan
-            except (ValueError, OverflowError):
-                raise ParseError(f"{path}: line {lineno}: unparsable row") from None
-            if not (math.isfinite(r_val) and math.isfinite(s2_val)) or s2_val < 0.0:
-                dropped[key] = dropped.get(key, 0) + 1
-                continue
-            per_index.setdefault(key, []).append((date, r_val, s2_val))
+        oxford = fmt == "oxford_csv"
+        lineno = 2
+        while block := list(islice(reader, _BLOCK_ROWS)):
+            rows = [row for row in block if "".join(row).strip()]
+            if rows:
+                try:
+                    keys, dates, r, s2 = _columns(rows, idx, oxford)
+                except ParseError:
+                    # find the first bad row in file order, and its line
+                    for offset, row in enumerate(block):
+                        if "".join(row).strip():
+                            try:
+                                _columns([row], idx, oxford)
+                            except ParseError as exc:
+                                raise ParseError(f"{path}: line {lineno + offset}: {exc}") \
+                                    from None
+                    raise
+                codes = np.array([code_of.setdefault(key, len(code_of)) for key in keys],
+                                 dtype=np.intp)
+                blocks.append((codes, dates, r, s2))
+            lineno += len(block)
+    if not blocks:
+        return []
 
-    out: list[DailySeries] = []
-    for key, rows in per_index.items():
-        _finish_series(key, rows, dropped.get(key, 0), out)
-    for key in dropped.keys() - per_index.keys():
-        warnings.warn(f"index {key!r}: no usable rows after cleaning", stacklevel=2)
-    if annualize or demean:
-        out = [DailySeries(
-            index_id=s.index_id, dates=s.dates,
-            r=s.r - (s.r.mean() if demean else 0.0),
-            s2=s.s2 * (252.0 if annualize else 1.0),
-            n_dropped=s.n_dropped) for s in out]
+    codes, dates, r, s2 = (np.concatenate(col) for col in zip(*blocks))
+    keep = np.isfinite(r) & np.isfinite(s2) & (s2 >= 0.0)
+    n_dropped = np.bincount(codes[~keep], minlength=len(code_of))
+    codes, dates, r, s2 = codes[keep], dates[keep], r[keep], s2[keep]
+    present, first_row = np.unique(codes, return_index=True)
+    order = np.lexsort((dates, codes))  # stable: by index, then date
+    codes, dates, r, s2 = codes[order], dates[order], r[order], s2[order]
+    bounds = np.searchsorted(codes, np.arange(len(code_of) + 1))
+
+    names = list(code_of)
+    out = []
+    for code in present[np.argsort(first_row)].tolist():
+        span = slice(bounds[code], bounds[code + 1])
+        if np.any(np.diff(dates[span]) <= np.timedelta64(0, "D")):
+            raise ParseError(f"index {names[code]!r}: duplicate dates after sorting")
+        r_span = r[span]
+        out.append(DailySeries(
+            index_id=names[code], dates=dates[span],
+            r=r_span - r_span.mean() if demean else r_span,
+            s2=s2[span] * 252.0 if annualize else s2[span],
+            n_dropped=int(n_dropped[code])))
+    for code in np.flatnonzero(bounds[1:] == bounds[:-1]).tolist():
+        warnings.warn(f"index {names[code]!r}: no usable rows after cleaning", stacklevel=2)
     return out
 
 
-def _valid_pairs(series: DailySeries, tau: int):
-    """Index arrays (t, t - tau) of pairs with both legs present."""
+def _mean(x: np.ndarray) -> float:
+    """np.mean of a 1-d float array: the same sum and division, without its call overhead."""
+    return float(np.add.reduce(x) / x.size)
+
+
+def _legs(series: DailySeries, taus):
+    """Yield the legs (s2_t, r_{t-tau}^2) at each tau in turn.
+
+    Each lag's legs are slices of the series, compressed to the pairs with
+    both legs finite; r^2 and the finite masks are computed once per call.
+    """
     n = len(series)
-    if abs(tau) >= n:
-        raise ContractError(f"|tau|={abs(tau)} is not below series length {n}")
-    t = np.arange(max(0, tau), n + min(0, tau))
-    lag = t - tau
-    mask = np.isfinite(series.s2[t]) & np.isfinite(series.r[lag])
-    return t[mask], lag[mask]
+    r2 = series.r ** 2
+    s2_ok = np.isfinite(series.s2)
+    r_ok = np.isfinite(series.r)
+    for tau in taus:
+        if abs(tau) >= n:
+            raise ContractError(f"|tau|={abs(tau)} is not below series length {n}")
+        if tau > 0:
+            late, early = slice(tau, n), slice(0, n - tau)
+        else:
+            late, early = slice(0, n + tau), slice(-tau, n)
+        pairs = s2_ok[late] & r_ok[early]
+        s2_leg = series.s2[late][pairs]
+        if s2_leg.size < MIN_PAIRS:
+            raise ContractError(f"only {s2_leg.size} valid pairs at tau={tau}; need {MIN_PAIRS}")
+        yield s2_leg, r2[early][pairs]
 
 
 def c2(series: DailySeries, tau: int) -> float:
@@ -256,31 +311,28 @@ def c2(series: DailySeries, tau: int) -> float:
     """
     if tau == 0:
         raise ContractError("tau must be nonzero")
-    t, lag = _valid_pairs(series, tau)
-    if t.size < MIN_PAIRS:
-        raise ContractError(f"only {t.size} valid pairs at tau={tau}; need {MIN_PAIRS}")
-    s2_leg = series.s2[t]
-    r2_leg = series.r[lag] ** 2
-    return float(np.mean((s2_leg - s2_leg.mean()) * r2_leg))
+    ((s2_leg, r2_leg),) = _legs(series, [tau])
+    return _mean((s2_leg - _mean(s2_leg)) * r2_leg)
 
 
-def _corr(series: DailySeries, tau: int) -> tuple[float, float, int]:
-    """Correlation, covariance and number of valid pairs at lag tau."""
-    t, lag = _valid_pairs(series, tau)
-    if t.size < MIN_PAIRS:
-        raise ContractError(f"only {t.size} valid pairs at tau={tau}; need {MIN_PAIRS}")
-    s2_leg = series.s2[t]
-    r2_leg = series.r[lag] ** 2
-    cov = float(np.mean((s2_leg - s2_leg.mean()) * (r2_leg - r2_leg.mean())))
-    var_s = float(np.mean((s2_leg - s2_leg.mean()) ** 2))
-    var_r = float(np.mean((r2_leg - r2_leg.mean()) ** 2))
+def _corr(s2_leg: np.ndarray, r2_leg: np.ndarray, tau: int) -> tuple[float, float]:
+    """Correlation and covariance of one lag's legs, each centred on its own mean."""
+    ds = s2_leg - _mean(s2_leg)
+    dr = r2_leg - _mean(r2_leg)
+    cov = _mean(ds * dr)
+    var_s = _mean(ds ** 2)
+    var_r = _mean(dr ** 2)
     if var_s <= 0.0 or var_r <= 0.0:
         raise ContractError(f"zero variance denominator at tau={tau}")
-    return cov / math.sqrt(var_s * var_r), cov, t.size
+    return cov / math.sqrt(var_s * var_r), cov
 
 
 def rho_curve(series: DailySeries, tau_max: int = 100) -> TraCurve:
-    """Forward/backward covariance and correlation curves for one index."""
+    """Forward/backward covariance and correlation curves for one index.
+
+    Every lag is centred on the means of its own valid pairs (two passes),
+    so the values are those of a lag-by-lag evaluation, bit for bit.
+    """
     if tau_max < 1:
         raise ContractError(f"tau_max must be >= 1, got {tau_max}")
     taus = np.arange(1, tau_max + 1)
@@ -289,9 +341,12 @@ def rho_curve(series: DailySeries, tau_max: int = 100) -> TraCurve:
     rho_f = np.empty(tau_max)
     rho_b = np.empty(tau_max)
     n_obs = np.empty(tau_max, dtype=int)
-    for i, tau in enumerate(taus):
-        rho_f[i], c_f[i], n_obs[i] = _corr(series, int(tau))
-        rho_b[i], c_b[i], _ = _corr(series, -int(tau))
+    legs = _legs(series, [sign * tau for tau in taus.tolist() for sign in (1, -1)])
+    for i, tau in enumerate(taus.tolist()):
+        s2_leg, r2_leg = next(legs)
+        rho_f[i], c_f[i] = _corr(s2_leg, r2_leg, tau)
+        n_obs[i] = s2_leg.size
+        rho_b[i], c_b[i] = _corr(*next(legs), -tau)
     return TraCurve(taus=taus, c2_fwd=c_f, c2_bwd=c_b,
                     rho_fwd=rho_f, rho_bwd=rho_b, n_obs=n_obs)
 
@@ -353,23 +408,32 @@ def series_from_batch(batch, start_date="2000-01-03", prefix="SIM") -> list[Dail
     """Wrap simulated daily aggregates as synthetic index series.
 
     Each path becomes one index (consecutive synthetic dates), which gives
-    the estimators model-generated input with known dynamics.
+    the estimators model-generated input with known dynamics.  The series'
+    r and s2 are views of the batch's rows, not copies.
     """
     n_paths, n_days = batch.r.shape
     base = np.datetime64(start_date, "D")
     dates = base + np.arange(n_days)
     width = len(str(n_paths - 1))
     return [DailySeries(index_id=f"{prefix}{pid:0{width}d}", dates=dates,
-                        r=batch.r[pid].copy(), s2=batch.s2[pid].copy())
+                        r=batch.r[pid], s2=batch.s2[pid])
             for pid in range(n_paths)]
 
 
 def write_generic_csv(series_list: list[DailySeries], fileobj) -> None:
-    """Write series in the generic_csv ingestion format (lossless float round trip)."""
+    """Write series in the generic_csv ingestion format (lossless float round trip).
+
+    Numbers are written as ``%.17g``; each series is formatted as one block
+    and passed to one ``write`` call.
+    """
     fileobj.write("index_id,date,r,s2\n")
     for s in series_list:
-        for d, r_val, s2_val in zip(s.dates, s.r, s.s2):
-            fileobj.write(f"{s.index_id},{d},{r_val:.17g},{s2_val:.17g}\n")
+        cells = [None] * (3 * len(s))
+        cells[0::3] = s.dates.astype(str).tolist()
+        cells[1::3] = s.r.tolist()
+        cells[2::3] = s.s2.tolist()
+        row = f"{s.index_id.replace('%', '%%')},%s,%.17g,%.17g\n"
+        fileobj.write((row * len(s)) % tuple(cells))
 
 
 def tra_to_csv(curve: TraCurve, fileobj) -> None:

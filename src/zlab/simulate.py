@@ -349,10 +349,16 @@ def estimate_moments_mc(batch: PathBatch, t_day: int) -> MomentEstimates:
 
 
 def export_daily_csv(batch: PathBatch, fileobj) -> None:
-    """Dump daily aggregates as CSV rows (path_id, day, r, sigma2)."""
+    """Dump daily aggregates as CSV rows (path_id, day, r, sigma2).
+
+    Numbers are written as ``%.17g``; each path is formatted as one block
+    and passed to one ``write`` call.
+    """
     fileobj.write("path_id,day,r,sigma2\n")
     n_paths, n_days = batch.r.shape
+    cells = [None] * (3 * n_days)
+    cells[0::3] = range(1, n_days + 1)
     for pid in range(n_paths):
-        rp, sp = batch.r[pid], batch.s2[pid]
-        for day in range(n_days):
-            fileobj.write(f"{pid},{day + 1},{rp[day]:.17g},{sp[day]:.17g}\n")
+        cells[1::3] = batch.r[pid].tolist()
+        cells[2::3] = batch.s2[pid].tolist()
+        fileobj.write((f"{pid},%d,%.17g,%.17g\n" * n_days) % tuple(cells))

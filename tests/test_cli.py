@@ -223,6 +223,23 @@ class TestEmpiricalCommand:
             emp.tra_to_json(curve, buf)
             assert (out / f"tra_{name}.json").read_text() == buf.getvalue()
 
+    def test_colliding_output_names_are_parse_error(self, tmp_path, capsys):
+        # ".AEX" and "AEX" both map to tra_AEX; "average" would replace tra_average
+        rng = np.random.default_rng(4)
+        panel = tmp_path / "collide.csv"
+        with open(panel, "w") as fh:
+            emp.write_generic_csv([emp.DailySeries(
+                name, np.datetime64("2001-01-01", "D") + np.arange(60),
+                rng.standard_normal(60) * 0.01, rng.random(60) * 1e-4)
+                for name in (".AEX", "AEX", "average", "DAX")], fh)
+        out = tmp_path / "emp"
+        code = main(["empirical", "-i", str(panel), "--tau-max", "3",
+                     "--output-dir", str(out)])
+        assert code == 2
+        assert not out.exists() or not list(out.iterdir())
+        err = capsys.readouterr().err
+        assert "'.AEX', 'AEX'" in err and "'average'" in err and "DAX" not in err
+
     def test_winsorize_flag(self, tmp_path, synth_csv):
         out = tmp_path / "w"
         assert main(["empirical", "-i", str(synth_csv), "--tau-max", "5",

@@ -2,11 +2,13 @@
 
 The reference oracle throughout is a literal double loop over (t, t - tau)
 pairs with explicit centering, kept deliberately naive so it shares nothing
-with the vectorised implementation.
+with the vectorised implementation.  TestReferenceOracle adds a per-lag
+estimator and a per-row writer that the array code must match bit for bit.
 """
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +148,102 @@ class TestIngest:
         np.testing.assert_allclose(adjusted.s2, plain.s2 * 252.0)
         np.testing.assert_allclose(adjusted.r, plain.r - plain.r.mean())
 
+    def test_quoted_index_id_with_comma(self, tmp_path):
+        f = tmp_path / "quoted.csv"
+        f.write_text('index_id,date,r,s2\n"Dow, Jones",2001-01-01,0.01,1e-4\n'
+                     '"Dow, Jones",2001-01-02,0.02,2e-4\n')
+        (series,) = ingest(f)
+        assert series.index_id == "Dow, Jones"
+        assert series.r.tolist() == [0.01, 0.02]
+
+    def test_whitespace_padded_fields(self, tmp_path):
+        f = tmp_path / "padded.csv"
+        f.write_text("index_id,date,r,s2\n A , 2001-01-01 ,  0.01 ,\t1e-4 \n")
+        (series,) = ingest(f)
+        assert series.index_id == "A"
+        assert series.dates.tolist() == [np.datetime64("2001-01-01", "D").item()]
+        assert series.r.tolist() == [0.01] and series.s2.tolist() == [1e-4]
+
+    def test_missing_tokens_dropped_and_counted(self, tmp_path):
+        f = tmp_path / "na.csv"
+        f.write_text("index_id,date,r,s2\nA,2001-01-01,NA,1e-4\nA,2001-01-02,0.01,na\n"
+                     "A,2001-01-03,,1e-4\nA,2001-01-04,0.01,  \nA,2001-01-05, NaN ,1e-4\n"
+                     "A,2001-01-06,0.02,2e-4\n")
+        (series,) = ingest(f)
+        assert series.n_dropped == 5
+        assert series.r.tolist() == [0.02] and series.s2.tolist() == [2e-4]
+
+    def test_interleaved_indices_keep_first_usable_row_order(self, tmp_path):
+        # C's first row is dropped, so C follows A, whose first usable row is earlier
+        f = tmp_path / "mixed.csv"
+        f.write_text("index_id,date,r,s2\nB,2001-01-01,0.01,1e-4\nC,2001-01-01,nan,1e-4\n"
+                     "A,2001-01-01,0.02,2e-4\nB,2001-01-02,0.03,3e-4\n"
+                     "C,2001-01-02,0.04,4e-4\nA,2001-01-02,0.05,5e-4\n")
+        out = ingest(f)
+        assert [s.index_id for s in out] == ["B", "A", "C"]
+        assert [s.r.tolist() for s in out] == [[0.01, 0.03], [0.02, 0.05], [0.04]]
+        assert [s.n_dropped for s in out] == [0, 0, 1]
+
+    def test_unsorted_dates_are_sorted_with_their_values(self, tmp_path):
+        f = tmp_path / "unsorted.csv"
+        f.write_text("index_id,date,r,s2\nA,2001-01-03,0.03,3e-4\nA,2001-01-01,0.01,1e-4\n"
+                     "A,2001-01-02,0.02,2e-4\n")
+        (series,) = ingest(f)
+        assert series.dates.astype(str).tolist() == ["2001-01-01", "2001-01-02", "2001-01-03"]
+        assert series.r.tolist() == [0.01, 0.02, 0.03]
+        assert series.s2.tolist() == [1e-4, 2e-4, 3e-4]
+
+    def test_duplicate_date_is_parse_error(self, tmp_path):
+        f = tmp_path / "dup.csv"
+        f.write_text("index_id,date,r,s2\nA,2001-01-02,0.01,1e-4\nB,2001-01-02,0.01,1e-4\n"
+                     "A,2001-01-01,0.02,2e-4\nA,2001-01-02,0.03,3e-4\n")
+        with pytest.raises(ParseError, match="'A': duplicate dates"):
+            ingest(f)
+
+    def test_first_bad_row_in_file_order_is_reported(self, tmp_path):
+        # line 3 is blank and still counts; line 4 has a bad date, line 5 too few columns
+        f = tmp_path / "bad_rows.csv"
+        f.write_text('index_id,date,r,s2\n"A, x",2001-01-01,0.01,1e-4\n\n'
+                     "A,2001-13-01,0.02,2e-4\nA,2001-01-03,0.03\n")
+        with pytest.raises(ParseError, match="line 4: unparsable row"):
+            ingest(f)
+        f.write_text("index_id,date,r,s2\nA,2001-01-01,0.01,1e-4\n\nA,2001-01-03,0.03\n"
+                     "A,2001-13-01,0.02,2e-4\n")
+        with pytest.raises(ParseError, match="line 4: too few columns"):
+            ingest(f)
+        f.write_text("index_id,date,r,s2\nA,2001-01-01,0.01,1e-4\n ,2001-01-02,x,y\n")
+        with pytest.raises(ParseError, match="line 3: empty index id"):
+            ingest(f)
+
+    def test_long_file_groups_and_reports_lines(self, tmp_path):
+        rng = np.random.default_rng(2)
+        originals = [random_series(rng, 21000, "A"), random_series(rng, 19000, "B")]
+        f = tmp_path / "long.csv"
+        with open(f, "w") as fh:
+            write_generic_csv(originals, fh)
+        back = ingest(f)
+        assert [s.index_id for s in back] == ["A", "B"]
+        for orig, got in zip(originals, back):
+            assert np.array_equal(got.dates, orig.dates)
+            assert np.array_equal(got.r, orig.r) and np.array_equal(got.s2, orig.s2)
+        lines = f.read_text().splitlines(keepends=True)
+        lines[33000] = "B,2060-01-01,0.01,oops\n"
+        f.write_text("".join(lines))
+        with pytest.raises(ParseError, match="line 33001: unparsable row"):
+            ingest(f)
+
+    def test_empty_series_warn_in_first_appearance_order(self, tmp_path):
+        names = ["Q", "B", "Z", "A", "M"]
+        f = tmp_path / "allnan.csv"
+        f.write_text("index_id,date,r,s2\nG,2001-01-01,0.01,1e-4\n"
+                     + "".join(f"{k},2001-01-01,nan,1e-4\n" for k in names))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            (series,) = ingest(f)
+        assert series.index_id == "G"
+        assert [str(w.message) for w in caught] == [
+            f"index {k!r}: no usable rows after cleaning" for k in names]
+
 
 class TestC2:
     def test_constant_s2_gives_zero(self):
@@ -279,6 +377,84 @@ class TestRhoCurve:
             curve = rho_curve(random_series(rng, 40), 5)
             assert np.all(np.abs(curve.rho_fwd) <= 1.0)
             assert np.all(np.abs(curve.rho_bwd) <= 1.0)
+
+
+def valid_pairs_oracle(series, tau):
+    """Per-lag index arrays (t, t - tau) of pairs with both legs present."""
+    n = len(series)
+    if abs(tau) >= n:
+        raise ContractError(f"|tau|={abs(tau)} is not below series length {n}")
+    t = np.arange(max(0, tau), n + min(0, tau))
+    lag = t - tau
+    mask = np.isfinite(series.s2[t]) & np.isfinite(series.r[lag])
+    return t[mask], lag[mask]
+
+
+def corr_oracle(series, tau):
+    """Per-lag reference estimator: fancy-indexed legs, each centred on its own mean."""
+    t, lag = valid_pairs_oracle(series, tau)
+    s2_leg = series.s2[t]
+    r2_leg = series.r[lag] ** 2
+    cov = float(np.mean((s2_leg - s2_leg.mean()) * (r2_leg - r2_leg.mean())))
+    var_s = float(np.mean((s2_leg - s2_leg.mean()) ** 2))
+    var_r = float(np.mean((r2_leg - r2_leg.mean()) ** 2))
+    c2_val = float(np.mean((s2_leg - s2_leg.mean()) * r2_leg))
+    return cov / math.sqrt(var_s * var_r), cov, t.size, c2_val
+
+
+class TestReferenceOracle:
+    """The array estimators reproduce the per-lag oracle bit for bit."""
+
+    def check(self, series, tau_max):
+        curve = rho_curve(series, tau_max)
+        fwd = [corr_oracle(series, tau) for tau in range(1, tau_max + 1)]
+        bwd = [corr_oracle(series, -tau) for tau in range(1, tau_max + 1)]
+        assert np.array_equal(curve.rho_fwd, [row[0] for row in fwd])
+        assert np.array_equal(curve.c2_fwd, [row[1] for row in fwd])
+        assert np.array_equal(curve.n_obs, [row[2] for row in fwd])
+        assert np.array_equal(curve.rho_bwd, [row[0] for row in bwd])
+        assert np.array_equal(curve.c2_bwd, [row[1] for row in bwd])
+        for tau, row in zip(range(1, tau_max + 1), fwd):
+            assert c2(series, tau) == row[3]
+        for tau, row in zip(range(1, tau_max + 1), bwd):
+            assert c2(series, -tau) == row[3]
+
+    def test_clean_series(self):
+        rng = np.random.default_rng(31)
+        self.check(random_series(rng, 5000), 100)
+
+    def test_nan_legs(self):
+        rng = np.random.default_rng(32)
+        base = random_series(rng, 3000)
+        r, s2 = base.r.copy(), base.s2.copy()
+        r[rng.choice(3000, 40, replace=False)] = np.nan
+        s2[rng.choice(3000, 40, replace=False)] = np.nan
+        s2[:5] = np.nan
+        r[-7:] = np.nan
+        self.check(DailySeries("N", base.dates, r, s2), 60)
+
+    def test_longest_lag(self):
+        rng = np.random.default_rng(33)
+        n = 400
+        self.check(random_series(rng, n), n - 30)
+        with pytest.raises(ContractError, match="valid pairs"):
+            rho_curve(random_series(rng, n), n - 29)
+
+    def test_generic_csv_matches_per_row_writer(self):
+        def per_row(series_list, fileobj):
+            fileobj.write("index_id,date,r,s2\n")
+            for s in series_list:
+                for d, r_val, s2_val in zip(s.dates, s.r, s.s2):
+                    fileobj.write(f"{s.index_id},{d},{r_val:.17g},{s2_val:.17g}\n")
+
+        rng = np.random.default_rng(34)
+        odd = make_series("%d,{x}", [0.0, -0.0, 5e-324, -1e308, np.nan, np.inf],
+                          [1e-300, 0.0, 1e22, 2.5, 3e-5, np.nan], start="1969-12-30")
+        series_list = [random_series(rng, 700, "A"), odd, random_series(rng, 3, ".B/C")]
+        got, want = io.StringIO(), io.StringIO()
+        write_generic_csv(series_list, got)
+        per_row(series_list, want)
+        assert got.getvalue() == want.getvalue()
 
 
 class TestAverageAndDifference:

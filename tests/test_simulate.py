@@ -334,3 +334,25 @@ class TestDiagnostics:
         assert first[0] == "0" and first[1] == "1"
         assert float(first[2]) == batch.r[0, 0]
         assert float(first[3]) == batch.s2[0, 0]
+
+    def test_export_csv_matches_per_row_oracle(self):
+        # a per-row writer: the byte-level reference
+        def per_row(batch, fileobj):
+            fileobj.write("path_id,day,r,sigma2\n")
+            n_paths, n_days = batch.r.shape
+            for pid in range(n_paths):
+                rp, sp = batch.r[pid], batch.s2[pid]
+                for day in range(n_days):
+                    fileobj.write(f"{pid},{day + 1},{rp[day]:.17g},{sp[day]:.17g}\n")
+
+        batch = simulate_paths(SEC4, FLAT, SimConfig(n_paths=12, steps_per_day=2, n_days=9, seed=5))
+        r, s2 = batch.r.copy(), batch.s2.copy()
+        r[0, :6] = [0.0, -0.0, 1e-300, 5e-324, -1.7976931348623157e308, 0.1]
+        s2[1, :3] = [np.inf, np.nan, 1e22]
+        odd = PathBatch(r=r, s2=s2, config=batch.config,
+                        weight_checksum=batch.weight_checksum, neg_fraction=0.0)
+        for b in (batch, odd):
+            got, want = io.StringIO(), io.StringIO()
+            export_daily_csv(b, got)
+            per_row(b, want)
+            assert got.getvalue() == want.getvalue()
