@@ -165,7 +165,9 @@ def build_parser() -> _Parser:
                        help="dump per-path daily aggregates (path_id,day,r,sigma2)")
     p_sim.add_argument("--export-empirical", default=None, metavar="CSV",
                        help="write paths as synthetic indices in generic_csv format")
-    p_sim.add_argument("--memory-budget-mb", type=int, default=1024)
+    p_sim.add_argument("--memory-budget-mb", type=int, default=1024,
+                       help="step-buffer budget in MiB; it sets the path chunking, "
+                            "and with it the paths (default %(default)s)")
     _add_output_flags(p_sim)
 
     p_cmp = subs.add_parser("compare",

@@ -38,6 +38,7 @@ series are immutable after ingestion.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import warnings
@@ -160,6 +161,8 @@ def _columns(rows: list, idx: list, oxford: bool):
         nums = [np.array(list(map(_parse_float, col)), dtype=float) for col in cols[2:]]
     except (ValueError, OverflowError):
         raise ParseError("unparsable row") from None
+    if np.any(np.isnat(dates)):  # numpy reads "" and "NaT" as no date
+        raise ParseError("unparsable row")
     if not oxford:
         r, s2 = nums
         return keys, dates, r, s2
@@ -420,6 +423,13 @@ def series_from_batch(batch, start_date="2000-01-03", prefix="SIM") -> list[Dail
             for pid in range(n_paths)]
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it: quoted if it holds a comma, quote or line break."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow([text])
+    return buf.getvalue()
+
+
 def write_generic_csv(series_list: list[DailySeries], fileobj) -> None:
     """Write series in the generic_csv ingestion format (lossless float round trip).
 
@@ -432,7 +442,7 @@ def write_generic_csv(series_list: list[DailySeries], fileobj) -> None:
         cells[0::3] = s.dates.astype(str).tolist()
         cells[1::3] = s.r.tolist()
         cells[2::3] = s.s2.tolist()
-        row = f"{s.index_id.replace('%', '%%')},%s,%.17g,%.17g\n"
+        row = f"{_csv_field(s.index_id).replace('%', '%%')},%s,%.17g,%.17g\n"
         fileobj.write((row * len(s)) % tuple(cells))
 
 

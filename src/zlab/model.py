@@ -485,13 +485,20 @@ def stationary_fourth_moment_r(params: ModelParams, xi_inf: float,
         raise ContractError(f"xi_inf must be positive, got {xi_inf}")
     if delta <= 0.0:
         raise ContractError(f"delta must be positive, got {delta}")
+    return _stationary_r4(params, xi_inf, delta,
+                          stationary_var_sigma2(params, xi_inf, delta))
+
+
+def _stationary_r4(params: ModelParams, xi_inf: float, delta: float,
+                   var_s2: float) -> float:
+    """Stationary E[r^4] given the stationary Var[sigma2]: leverage + gauss + 3 var_s2."""
     nu, lam, rho = params.nu, params.lam, params.rho
     gauss = 3.0 * xi_inf**2 * delta**2
     if nu == 0.0:
         return gauss
     leverage = 0.0 if rho == 0.0 else \
         12.0 * (rho * nu / lam) ** 2 * xi_inf * _int_cdf_bilinear(params.ml(), delta)
-    return leverage + gauss + 3.0 * stationary_var_sigma2(params, xi_inf, delta)
+    return leverage + gauss + 3.0 * var_s2
 
 
 def zumbach_correl(params: ModelParams, xi_inf: float, k: int,
@@ -511,7 +518,7 @@ def zumbach_correl(params: ModelParams, xi_inf: float, k: int,
     flat = ForwardVarianceCurve.flat(xi_inf)
     num = zumbach_cov(params, flat, t=delta, k=k, delta=delta)
     var_s2 = stationary_var_sigma2(params, xi_inf, delta)
-    var_r2 = stationary_fourth_moment_r(params, xi_inf, delta) - (xi_inf * delta) ** 2
+    var_r2 = _stationary_r4(params, xi_inf, delta, var_s2) - (xi_inf * delta) ** 2
     if var_s2 <= 0.0 or var_r2 <= 0.0:
         raise ContractError("degenerate denominator in zumbach_correl")
     out = num / math.sqrt(var_s2 * var_r2)

@@ -33,6 +33,13 @@ normals.  Runs are bit-reproducible for a fixed configuration, including the
 build; another chunking gives statistically equivalent, not equal, paths.
 Path generation is embarrassingly parallel; aggregation is a deterministic
 reduction over chunks.
+
+Memory: a chunk holds one step-grid array per path (dB, overwritten by the
+kernel source as the steps run) and (path, 256) block scratch; each block
+redraws its dW from the path's stream when it runs.  The n_steps x 256
+weight table is shared by all chunks.  The budget still counts two
+step-grid arrays per path, as when dW was stored too, so the chunking, and
+with it every path, is unchanged.
 """
 
 from __future__ import annotations
@@ -67,10 +74,13 @@ class SimConfig:
     """Monte Carlo controls.
 
     delta is the day length in years; the step grid has
-    n_days * steps_per_day points.  The memory budget bounds the per-chunk
-    scratch buffers (two step-grid arrays per path), and chunking is derived
-    from it automatically.  The convolution's weight table, n_steps x 256
-    float64 values shared by all chunks, sits outside the budget.
+    n_days * steps_per_day points.  The memory budget sets the path
+    chunking, and with it the paths.  A chunk holds one step-grid array per
+    path plus (path, 256) block scratch, but the budget counts two step-grid
+    arrays per path, so a run takes about half of it; the count is kept
+    because changing it would change the chunking and every path.  The
+    convolution's weight table, n_steps x 256 float64 values shared by all
+    chunks, sits outside the budget.
     """
 
     n_paths: int
@@ -93,8 +103,9 @@ class SimConfig:
             raise ContractError("antithetic sampling needs an even n_paths")
         if self.chunk_paths() < 1:
             raise MemoryGuardError(
-                f"a single path needs {self.n_steps() * 2 * 8 / 2**20:.0f} MiB of "
-                f"step buffers, over the {self.memory_budget_mb} MiB budget")
+                f"a single path is counted at {self.n_steps() * 2 * 8 / 2**20:.0f} MiB "
+                f"(two step-grid arrays; the engine holds one plus per-block "
+                f"scratch), over the {self.memory_budget_mb} MiB budget")
 
     def n_steps(self) -> int:
         return self.n_days * self.steps_per_day
@@ -103,7 +114,8 @@ class SimConfig:
         return self.delta / self.steps_per_day
 
     def chunk_paths(self) -> int:
-        # two (chunk, n_steps) float64 scratch buffers dominate the footprint
+        # counts two (chunk, n_steps) float64 arrays per path although the
+        # engine holds one: the count fixes the chunking, and so the paths
         per_path = self.n_steps() * 2 * 8
         chunk = int(self.memory_budget_mb * 2**20 * 0.8) // per_path
         chunk = min(chunk, self.n_paths)
@@ -158,14 +170,39 @@ def precompute_kernel_weights(params: ModelParams, config: SimConfig) -> np.ndar
     return w
 
 
-def _path_normals(config: SimConfig, path_index: int, n: int) -> np.ndarray:
+def _path_stream(config: SimConfig, path_index: int):
+    """Seed of the path's RNG stream, and whether the path negates its normals."""
     if config.antithetic:
         stream, flip = divmod(path_index, 2)
     else:
         stream, flip = path_index, 0
-    ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(stream,))
+    return np.random.SeedSequence(entropy=config.seed, spawn_key=(stream,)), bool(flip)
+
+
+def _path_normals(config: SimConfig, path_index: int, n: int) -> np.ndarray:
+    ss, flip = _path_stream(config, path_index)
     z = np.random.Generator(np.random.PCG64(ss)).standard_normal((2, n))
     return -z if flip else z
+
+
+def _add_by_day(acc, rows, i0, spd):
+    """acc[day] += rows[b] for the block's steps i0 + b, each day's terms in step order.
+
+    Whole days take one add per offset within the day; a day cut by a block
+    edge is summed step by step.  (np.add.reduceat rounds differently.)
+    """
+    width = rows.shape[0]
+    head = min(-i0 % spd, width)
+    n_full = (width - head) // spd
+    for b in range(head):
+        acc[i0 // spd] += rows[b]
+    if n_full:
+        d0 = (i0 + head) // spd
+        days = rows[head:head + n_full * spd].reshape(n_full, spd, -1)
+        for o in range(spd):
+            acc[d0:d0 + n_full] += days[:, o]
+    for b in range(head + n_full * spd, width):
+        acc[(i0 + b) // spd] += rows[b]
 
 
 def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
@@ -178,19 +215,31 @@ def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
     rho = params.rho
     rho_perp = math.sqrt(1.0 - rho * rho)
 
-    d_w = np.empty((n_chunk, n))
+    # dW_i = +-sqrt(dt) z0_i is redrawn block by block from a second generator
+    # on the path's stream (z0 leads the stream); negation is exact, so the
+    # antithetic twin keeps its bits
     x_or_db = np.empty((n_chunk, n))  # dB until step i runs, then the kernel source
+    rngs = []
+    dw_scale = np.empty(n_chunk)
     for c in range(n_chunk):
         z = _path_normals(config, lo + c, n)
-        np.multiply(z[0], sqrt_dt, out=d_w[c])
-        x_or_db[c] = rho * d_w[c] + (rho_perp * sqrt_dt) * z[1]
+        d_b = x_or_db[c]  # rho dW + rho_perp sqrt(dt) z1, formed in place
+        np.multiply(z[0], sqrt_dt, out=d_b)
+        d_b *= rho
+        z[1] *= rho_perp * sqrt_dt
+        d_b += z[1]
+        ss, flip = _path_stream(config, lo + c)
+        rngs.append(np.random.Generator(np.random.PCG64(ss)))
+        dw_scale[c] = -sqrt_dt if flip else sqrt_dt
 
-    # the per-step vectors run across paths, so the accumulators are
-    # (day, path) and each block's inter-block sums and dW are copied to
-    # (step, path): a column of a (path, step) array strides a whole row
-    # per element
+    # the per-step vectors run across paths, so the block buffers and the
+    # accumulators are (step or day, path): a column of a (path, step) array
+    # strides a whole row per element
     r_acc = np.zeros((config.n_days, n_chunk))
     s2_acc = np.zeros((config.n_days, n_chunk))
+    z_blk = np.empty((n_chunk, _BLOCK_STEPS))
+    d_w_blk = np.empty((_BLOCK_STEPS, n_chunk))
+    sqrt_blk = np.empty((_BLOCK_STEPS, n_chunk))
     neg = 0
 
     # overflowing states are caught by the finiteness guard below; numpy's
@@ -203,27 +252,37 @@ def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
                 past = (x_or_db[:, :i0] @ table[n - i0:, :width]).T.copy()
             else:
                 past = np.zeros((width, n_chunk))
-            d_w_blk = d_w[:, i0:hi_blk].T.copy()
+            past += xi_step[i0:hi_blk, None]
+            # row b of past becomes the raw state V_{i0+b}
             for b in range(width):
                 i = i0 + b
-                v = past[b] + xi_step[i]
+                v = past[b]
                 if b:
                     v += x_or_db[:, i0:i] @ w[b:0:-1]
-                day = i // spd
-                if i % spd == 0:
-                    v_sum[day] += float(v.sum())
-                    v_sumsq[day] += float(np.dot(v, v))
-                neg += int(np.count_nonzero(v < 0.0))
-                v_pos = np.maximum(v, 0.0)
-                sqrt_v = np.sqrt(v_pos)
-                r_acc[day] += sqrt_v * d_w_blk[b]
-                s2_acc[day] += v_pos * dt
+                sqrt_v = sqrt_blk[b]
+                np.maximum(v, 0.0, out=sqrt_v)
+                np.sqrt(sqrt_v, out=sqrt_v)
                 x_or_db[:, i] *= sqrt_v
             if not np.all(np.isfinite(x_or_db[:, i0:hi_blk])):
                 bad = np.argwhere(~np.isfinite(x_or_db[:, i0:hi_blk]))[0]
                 raise SimulationError(
                     f"non-finite variance state at path {lo + int(bad[0])}, "
                     f"step {i0 + int(bad[1])}")
+
+            for b in range(-i0 % spd, width, spd):
+                day = (i0 + b) // spd
+                v_sum[day] += float(past[b].sum())
+                v_sumsq[day] += float(np.dot(past[b], past[b]))
+            neg += int(np.count_nonzero(past < 0.0))
+            for rng, row in zip(rngs, z_blk[:, :width]):
+                rng.standard_normal(out=row)
+            d_w = d_w_blk[:width]
+            np.multiply(z_blk[:, :width].T, dw_scale, out=d_w)
+            d_w *= sqrt_blk[:width]  # the r terms sqrt(V+) dW
+            _add_by_day(r_acc, d_w, i0, spd)
+            np.maximum(past, 0.0, out=past)
+            past *= dt  # the s2 terms V+ dt
+            _add_by_day(s2_acc, past, i0, spd)
 
     day_r[lo:hi] = r_acc.T
     day_s2[lo:hi] = s2_acc.T

@@ -245,6 +245,21 @@ class TestEmpiricalCommand:
         assert main(["empirical", "-i", str(synth_csv), "--tau-max", "5",
                      "--winsorize", "0.01", "--output-dir", str(out)]) == 0
 
+    def test_empty_date_is_parse_error_naming_line(self, tmp_path, capsys):
+        bad = tmp_path / "nodate.csv"
+        bad.write_text("index_id,date,r,s2\nA,2001-01-01,0.01,1e-4\nA,,0.02,2e-4\n")
+        out = tmp_path / "emp"
+        assert main(["empirical", "-i", str(bad), "--output-dir", str(out)]) == 2
+        assert "line 3" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
+    def test_memory_budget_help_names_unit_and_effect(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "budget in MiB" in text and "chunking" in text
+
 
 class TestCompareCommand:
     @pytest.fixture()

@@ -6,6 +6,7 @@ with the vectorised implementation.  TestReferenceOracle adds a per-lag
 estimator and a per-row writer that the array code must match bit for bit.
 """
 
+import csv
 import io
 import math
 import warnings
@@ -244,6 +245,31 @@ class TestIngest:
         assert [str(w.message) for w in caught] == [
             f"index {k!r}: no usable rows after cleaning" for k in names]
 
+    def test_empty_or_nat_date_is_parse_error_with_line(self, tmp_path):
+        # numpy reads both as NaT; without a check the run ended in a
+        # ContractError that named no line
+        f = tmp_path / "nodate.csv"
+        for date in ("", " ", "NaT"):
+            f.write_text("index_id,date,r,s2\nA,2001-01-01,0.01,1e-4\n"
+                         f"A,{date},0.02,2e-4\nA,2001-01-03,0.03,3e-4\n")
+            with pytest.raises(ParseError, match="line 3: unparsable row"):
+                ingest(f)
+
+    def test_ids_with_comma_and_quote_round_trip(self, tmp_path):
+        rng = np.random.default_rng(5)
+        names = ["Dow, Jones", 'S&P "500"', '"', "A,B,\"C\"", "plain"]
+        originals = [random_series(rng, 12, name) for name in names]
+        f = tmp_path / "quoted_rt.csv"
+        with open(f, "w") as fh:
+            write_generic_csv(originals, fh)
+        back = ingest(f)
+        assert [s.index_id for s in back] == names
+        for orig, got in zip(originals, back):
+            assert np.array_equal(got.dates, orig.dates)
+            assert np.array_equal(got.r, orig.r) and np.array_equal(got.s2, orig.s2)
+        # ids that need no quotes are written bare, as before
+        assert f.read_text().splitlines()[-1].startswith("plain,")
+
 
 class TestC2:
     def test_constant_s2_gives_zero(self):
@@ -443,9 +469,10 @@ class TestReferenceOracle:
     def test_generic_csv_matches_per_row_writer(self):
         def per_row(series_list, fileobj):
             fileobj.write("index_id,date,r,s2\n")
+            rows = csv.writer(fileobj, lineterminator="\n")
             for s in series_list:
                 for d, r_val, s2_val in zip(s.dates, s.r, s.s2):
-                    fileobj.write(f"{s.index_id},{d},{r_val:.17g},{s2_val:.17g}\n")
+                    rows.writerow([s.index_id, d, f"{r_val:.17g}", f"{s2_val:.17g}"])
 
         rng = np.random.default_rng(34)
         odd = make_series("%d,{x}", [0.0, -0.0, 5e-324, -1e308, np.nan, np.inf],

@@ -492,3 +492,15 @@ class TestZumbachCorrel:
         rough = zumbach_correl(SEC4, 0.025, 1, D)
         classical = zumbach_correl(CLASSICAL, 0.025, 1, D)
         assert rough / classical > 10.0
+
+    @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.5])
+    def test_equals_composition_of_stationary_limits(self, hurst):
+        # one Var[sigma2] evaluation feeds both variances; the value must be
+        # the documented ratio of the public limits, bit for bit
+        p = ModelParams(hurst=hurst, lam=0.3, nu=0.45, rho=-0.7)
+        xi = 0.025
+        var_s2 = stationary_var_sigma2(p, xi, D)
+        var_r2 = stationary_fourth_moment_r(p, xi, D) - (xi * D) ** 2
+        for k in (1, 5):
+            num = zumbach_cov(p, ForwardVarianceCurve.flat(xi), t=D, k=k, delta=D)
+            assert zumbach_correl(p, xi, k, D) == num / math.sqrt(var_s2 * var_r2)

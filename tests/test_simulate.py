@@ -174,6 +174,80 @@ class TestConvolution:
         np.testing.assert_allclose(batch.s2, s2, rtol=1e-12, atol=0)
 
 
+class TestStepBuffer:
+    """The engine keeps one step-grid array per path and does the day
+    bookkeeping once per 256-step block: whole days by offset within the
+    day, a day cut by a block edge step by step."""
+
+    @pytest.mark.parametrize("steps_per_day, n_days", [
+        (7, 80),   # 560 steps: days cross the block edges at 256 and 512
+        (300, 2),  # days longer than a block
+        (10, 20),  # 200 steps, less than one block
+    ])
+    def test_day_layouts_match_direct_summation(self, steps_per_day, n_days):
+        params = ModelParams(hurst=0.1, lam=0.3, nu=0.05, rho=-0.7)
+        curve = ForwardVarianceCurve.piecewise_linear([0.0, 0.1, 0.2, 0.4],
+                                                      [0.02, 0.03, 0.015, 0.025])
+        cfg = SimConfig(n_paths=3, steps_per_day=steps_per_day, n_days=n_days, seed=13)
+        batch = simulate_paths(params, curve, cfg)
+        assert batch.neg_fraction == 0.0
+        r, s2 = direct_summation(params, curve, cfg)
+        np.testing.assert_allclose(batch.r, r, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(batch.s2, s2, rtol=1e-12, atol=0)
+
+    def test_day_start_states_across_block_edges(self):
+        # nu = 0: V_i = xi0(t_i), so the day-start mean is the curve at
+        # every day start, including those inside the blocks after the first
+        params = ModelParams(hurst=0.1, lam=0.3, nu=0.0, rho=-0.7)
+        curve = ForwardVarianceCurve.piecewise_linear([0.0, 0.1, 0.2, 0.4],
+                                                      [0.02, 0.03, 0.015, 0.025])
+        cfg = SimConfig(n_paths=4, steps_per_day=7, n_days=80, seed=13)
+        batch = simulate_paths(params, curve, cfg)
+        starts = curve(cfg.dt() * cfg.steps_per_day * np.arange(cfg.n_days))
+        np.testing.assert_allclose(batch.v_day_mean, starts, rtol=1e-15, atol=0)
+
+    def test_threads_bitwise_on_multi_block_grid(self):
+        # 560 steps: three blocks with days across their edges; 1 MB holds
+        # 92 antithetic paths, so 200 paths run as three chunks
+        cfg = SimConfig(n_paths=200, steps_per_day=7, n_days=80, seed=21,
+                        antithetic=True, memory_budget_mb=1)
+        assert cfg.chunk_paths() == 92
+        a = simulate_paths(SEC4, FLAT, cfg)
+        b = simulate_paths(SEC4, FLAT, cfg, threads=2)
+        assert a.neg_fraction > 0.0
+        for name in ("r", "s2", "v_day_mean", "v_day_se"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.neg_fraction == b.neg_fraction
+        assert a.weight_checksum == b.weight_checksum
+
+    def test_peak_memory_is_one_step_array_per_path(self):
+        import tracemalloc
+
+        from zlab.simulate import _BLOCK_STEPS
+
+        # one chunk of 128 paths x 16384 steps: the traced peak may hold the
+        # kernel-source array, the weight table and the outputs, plus a
+        # quarter array for everything else (block scratch, day
+        # accumulators, weights, RNGs); storing dW as well would add a whole
+        # array.  128 steps a day keep the per-block and per-day parts small.
+        cfg = SimConfig(n_paths=128, steps_per_day=128, n_days=128, seed=3,
+                        memory_budget_mb=40)
+        assert cfg.chunk_paths() == cfg.n_paths
+        n = cfg.n_steps()
+        step_array = cfg.n_paths * n * 8
+        table = n * _BLOCK_STEPS * 8
+        outputs = 2 * cfg.n_paths * cfg.n_days * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            simulate_paths(MILD, FLAT, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * step_array + table + outputs
+
+
 class TestStatisticalProperties:
     def test_raw_state_mean_matches_curve_sec4(self):
         # martingale property of the recursion: E[V_t] = xi0(t) exactly,
