@@ -35,11 +35,17 @@ Path generation is embarrassingly parallel; aggregation is a deterministic
 reduction over chunks.
 
 Memory: a chunk holds one step-grid array per path (dB, overwritten by the
-kernel source as the steps run) and (path, 256) block scratch; each block
-redraws its dW from the path's stream when it runs.  The n_steps x 256
-weight table is shared by all chunks.  The budget still counts two
-step-grid arrays per path, as when dW was stored too, so the chunking, and
-with it every path, is unchanged.
+kernel source as the steps run) and a few (256, path) step-major block
+buffers.  Each block copies its dB into one of them, turns it into the
+kernel source step by step there and copies it back for the later blocks'
+matrix products; it redraws its dW from the path's stream when it runs.
+The n_steps x 256 weight table is shared by all chunks.  The budget still
+counts two step-grid arrays per path, as when dW was stored too, so the
+chunking, and with it every path, is unchanged.
+
+Summation order: the inter-block part is one BLAS matrix product per block;
+within a block each step adds every path's earlier steps in step order,
+products and sums rounded separately.  Both orders are part of the paths.
 """
 
 from __future__ import annotations
@@ -76,11 +82,11 @@ class SimConfig:
     delta is the day length in years; the step grid has
     n_days * steps_per_day points.  The memory budget sets the path
     chunking, and with it the paths.  A chunk holds one step-grid array per
-    path plus (path, 256) block scratch, but the budget counts two step-grid
-    arrays per path, so a run takes about half of it; the count is kept
-    because changing it would change the chunking and every path.  The
-    convolution's weight table, n_steps x 256 float64 values shared by all
-    chunks, sits outside the budget.
+    path plus a few (256, path) step-major block buffers, but the budget
+    counts two step-grid arrays per path, so a run takes about half of it;
+    the count is kept because changing it would change the chunking and
+    every path.  The convolution's weight table, n_steps x 256 float64
+    values shared by all chunks, sits outside the budget.
     """
 
     n_paths: int
@@ -206,7 +212,7 @@ def _add_by_day(acc, rows, i0, spd):
 
 
 def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
-                    v_sum, v_sumsq):
+                    dev_sum, dev_sumsq):
     n = config.n_steps()
     n_chunk = hi - lo
     dt = config.dt()
@@ -237,6 +243,7 @@ def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
     # strides a whole row per element
     r_acc = np.zeros((config.n_days, n_chunk))
     s2_acc = np.zeros((config.n_days, n_chunk))
+    x_blk = np.empty((_BLOCK_STEPS, n_chunk))  # the block's dB, then its source
     z_blk = np.empty((n_chunk, _BLOCK_STEPS))
     d_w_blk = np.empty((_BLOCK_STEPS, n_chunk))
     sqrt_blk = np.empty((_BLOCK_STEPS, n_chunk))
@@ -253,26 +260,34 @@ def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
             else:
                 past = np.zeros((width, n_chunk))
             past += xi_step[i0:hi_blk, None]
-            # row b of past becomes the raw state V_{i0+b}
+            x = x_blk[:width]
+            x[...] = x_or_db[:, i0:hi_blk].T
+            # row b of past becomes the raw state V_{i0+b}; the einsum sums
+            # each path's earlier steps in order, products and sums rounded
+            # separately, as numpy's own matmul loop does (optimize would
+            # hand it to BLAS, which sums in another order)
             for b in range(width):
-                i = i0 + b
                 v = past[b]
                 if b:
-                    v += x_or_db[:, i0:i] @ w[b:0:-1]
+                    v += np.einsum('kp,k->p', x[:b], w[b:0:-1])
                 sqrt_v = sqrt_blk[b]
                 np.maximum(v, 0.0, out=sqrt_v)
                 np.sqrt(sqrt_v, out=sqrt_v)
-                x_or_db[:, i] *= sqrt_v
-            if not np.all(np.isfinite(x_or_db[:, i0:hi_blk])):
-                bad = np.argwhere(~np.isfinite(x_or_db[:, i0:hi_blk]))[0]
+                x[b] *= sqrt_v
+            if not np.all(np.isfinite(x)):
+                bad = np.argwhere(~np.isfinite(x))[0]
                 raise SimulationError(
-                    f"non-finite variance state at path {lo + int(bad[0])}, "
-                    f"step {i0 + int(bad[1])}")
+                    f"non-finite variance state at path {lo + int(bad[1])}, "
+                    f"step {i0 + int(bad[0])}")
+            x_or_db[:, i0:hi_blk] = x.T
 
+            # day-start states as deviations from xi0: the sums stay exact
+            # where the paths agree (nu = 0) instead of cancelling
             for b in range(-i0 % spd, width, spd):
+                dev = past[b] - xi_step[i0 + b]
                 day = (i0 + b) // spd
-                v_sum[day] += float(past[b].sum())
-                v_sumsq[day] += float(np.dot(past[b], past[b]))
+                dev_sum[day] += float(dev.sum())
+                dev_sumsq[day] += float(np.dot(dev, dev))
             neg += int(np.count_nonzero(past < 0.0))
             for rng, row in zip(rngs, z_blk[:, :width]):
                 rng.standard_normal(out=row)
@@ -326,12 +341,12 @@ def simulate_paths(params: ModelParams, curve: ForwardVarianceCurve,
     chunk = config.chunk_paths()
     ranges = [(lo, min(lo + chunk, config.n_paths))
               for lo in range(0, config.n_paths, chunk)]
-    v_sums = [(np.zeros(config.n_days), np.zeros(config.n_days)) for _ in ranges]
+    dev_sums = [(np.zeros(config.n_days), np.zeros(config.n_days)) for _ in ranges]
 
     def run(idx):
         lo, hi = ranges[idx]
         return _simulate_chunk(xi_step, w, table, config, params, lo, hi,
-                               day_r, day_s2, *v_sums[idx])
+                               day_r, day_s2, *dev_sums[idx])
 
     if threads > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -339,11 +354,12 @@ def simulate_paths(params: ModelParams, curve: ForwardVarianceCurve,
     else:
         negs = [run(i) for i in range(len(ranges))]
 
-    v_sum = sum(s for s, _ in v_sums)
-    v_sumsq = sum(s for _, s in v_sums)
+    dev_sum = sum(s for s, _ in dev_sums)
+    dev_sumsq = sum(s for _, s in dev_sums)
     npaths = config.n_paths
-    v_mean = v_sum / npaths
-    v_var = np.maximum(v_sumsq / npaths - v_mean**2, 0.0)
+    dev_mean = dev_sum / npaths
+    v_mean = xi_step[::config.steps_per_day] + dev_mean
+    v_var = np.maximum(dev_sumsq / npaths - dev_mean**2, 0.0)
     v_se = np.sqrt(v_var / npaths)
     return PathBatch(
         r=day_r, s2=day_s2, config=config,

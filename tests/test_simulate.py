@@ -220,6 +220,18 @@ class TestStepBuffer:
         assert a.neg_fraction == b.neg_fraction
         assert a.weight_checksum == b.weight_checksum
 
+    @pytest.mark.parametrize("n_paths", [4, 1000])
+    def test_day_start_se_exact_at_nu_zero(self, n_paths):
+        # nu = 0: every path holds V_i = xi0(t_i), so the day-start spread
+        # is exactly zero; summing raw states and their squares cancelled
+        # to ~1e-9 of the mean here
+        params = ModelParams(hurst=0.1, lam=0.3, nu=0.0, rho=-0.7)
+        curve = ForwardVarianceCurve.piecewise_linear([0.0, 0.1, 0.2, 0.4],
+                                                      [0.02, 0.03, 0.015, 0.025])
+        cfg = SimConfig(n_paths=n_paths, steps_per_day=7, n_days=80, seed=13)
+        batch = simulate_paths(params, curve, cfg)
+        assert np.all(batch.v_day_se == 0.0)
+
     def test_peak_memory_is_one_step_array_per_path(self):
         import tracemalloc
 
@@ -246,6 +258,78 @@ class TestStepBuffer:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * step_array + table + outputs
+
+
+def sequential_engine(params, curve, cfg):
+    """Daily (r, s2) and the negative-state count of the engine's scheme, with
+    the same inter-block matrix product and a plain per-step loop for the
+    intra-block sum, each path's earlier steps added in order."""
+    from zlab.simulate import _BLOCK_STEPS
+
+    n, dt, spd = cfg.n_steps(), cfg.dt(), cfg.steps_per_day
+    sqrt_dt = math.sqrt(dt)
+    rho_perp = math.sqrt(1.0 - params.rho**2)
+    w = precompute_kernel_weights(params, cfg)
+    w_pad = np.concatenate([w, np.zeros(_BLOCK_STEPS)])
+    table = np.ascontiguousarray(
+        np.lib.stride_tricks.sliding_window_view(w_pad, _BLOCK_STEPS)[n:0:-1])
+    xi = curve(dt * np.arange(n))
+    r = np.zeros((cfg.n_paths, cfg.n_days))
+    s2 = np.zeros((cfg.n_paths, cfg.n_days))
+    neg = 0
+    chunk = cfg.chunk_paths()
+    for lo in range(0, cfg.n_paths, chunk):
+        paths = range(lo, min(lo + chunk, cfg.n_paths))
+        z = np.array([_path_normals(cfg, p, n) for p in paths])
+        d_w = z[:, 0] * sqrt_dt
+        source = d_w * params.rho + z[:, 1] * (rho_perp * sqrt_dt)  # dB, then sqrt(V+) dB
+        for i0 in range(0, n, _BLOCK_STEPS):
+            width = min(_BLOCK_STEPS, n - i0)
+            past = (source[:, :i0] @ table[n - i0:, :width] if i0
+                    else np.zeros((len(paths), width)))
+            past += xi[i0:i0 + width]
+            for b in range(width):
+                i = i0 + b
+                acc = np.zeros(len(paths))
+                for k in range(b):
+                    acc = acc + source[:, i0 + k] * w[b - k]
+                v = past[:, b] + acc
+                neg += int(np.count_nonzero(v < 0.0))
+                v_pos = np.maximum(v, 0.0)
+                r[lo:lo + len(paths), i // spd] += np.sqrt(v_pos) * d_w[:, i]
+                s2[lo:lo + len(paths), i // spd] += v_pos * dt
+                source[:, i] *= np.sqrt(v_pos)
+    return r, s2, neg
+
+
+class TestSummationOrder:
+    """The engine's paths depend on the order in which each step's
+    intra-block sum adds the earlier steps; these tests pin that order."""
+
+    @pytest.mark.parametrize("n_paths", [1, 2, 31, 1000])
+    def test_einsum_adds_steps_in_order(self, n_paths):
+        rng = np.random.default_rng(n_paths)
+        w = rng.standard_normal(256)
+        x = rng.standard_normal((256, n_paths)) * np.exp(3.0 * rng.standard_normal((256, n_paths)))
+        for b in (1, 2, 17, 255):
+            acc = np.zeros(n_paths)
+            for k in range(b):
+                acc = acc + x[k] * w[b - k]
+            assert np.array_equal(np.einsum('kp,k->p', x[:b], w[b:0:-1]), acc), b
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_engine_matches_sequential_reference_bitwise(self, threads):
+        # 560 steps in three blocks; 1 MB holds 93 paths, so 187 paths run
+        # as chunks of 93, 93 and 1
+        cfg = SimConfig(n_paths=187, steps_per_day=7, n_days=80, seed=17,
+                        memory_budget_mb=1)
+        assert cfg.chunk_paths() == 93
+        batch = simulate_paths(SEC4, FLAT, cfg, threads=threads)
+        r, s2, neg = sequential_engine(SEC4, FLAT, cfg)
+        assert batch.neg_fraction > 0.0
+        assert np.array_equal(batch.r, r)
+        assert np.array_equal(batch.s2, s2)
+        assert batch.neg_fraction == neg / (cfg.n_paths * cfg.n_steps())
 
 
 class TestStatisticalProperties:
