@@ -35,19 +35,19 @@ Implemented quantities
 Quadrature policy: integrals against the density f (or the fractional
 kernel of ``g0``) go through ``_kernel_integral``: the substitution
 u = v^(1/alpha) removes the u^(alpha-1) singularity at the origin, and a
-fixed 48-node Gauss-Legendre rule runs between curve kinks.  It integrates
-a whole array of upper limits in one batch, flat curves included, so every
-quadrature node at which a caller needs the inner integral goes through one
-call.  Outer integrals
-over the CDF F go through ``_ts_quad``, which runs the package's one fixed
-tanh-sinh rule from :mod:`zlab.special`.  Its nodes crowd doubly
-exponentially into the segment ends, so the algebraic endpoint
-singularities of F(s) and F(delta - s) need no substitution; it checks
-itself against the rule at twice its step.
+fixed 48-node Gauss-Legendre rule runs on E_{alpha,alpha}(-lam v), which
+:mod:`zlab.special` evaluates through its series/contour split, between
+curve kinks and the kernel's scales, for a whole array of upper limits in
+one batch.  Every other integral runs on ``_ts_quad``, the package's one
+tanh-sinh rule.  Its nodes crowd doubly exponentially into the segment
+ends, so the endpoint singularities of F(s) and F(delta - s) need no
+substitution; it checks itself against the rule at twice its step.
 Segments end at curve kinks and, on long ranges, at the day scales
-delta * 8^j.  The semi-infinite integral of the stationary limit adds a
-closed-form algebraic tail.
-Degenerate inputs (rho = 0 or nu = 0) short-circuit to exact zeros.
+delta * 8^j; the stationary limit adds a closed-form algebraic tail.
+Z(k) and the flat-curve leverage term of E[r^4] share one lag integral
+(``_lag_integrals``), so ``zumbach_correl`` takes both from one quadrature.
+Degenerate inputs (rho = 0 or nu = 0) short-circuit to exact zeros;
+non-finite horizons, levels and parameters are contract errors.
 
 All operations are pure functions of immutable inputs and can be evaluated
 concurrently without locking.
@@ -63,8 +63,8 @@ import numpy as np
 
 from .errors import ContractError
 # ml_cdf is not called here, but perfbench's tracer wraps model.ml_cdf
-from .special import (MlParams, _ts_rule, density_sq_tail, l2_norm_f_squared,  # noqa: F401
-                      ml_cdf, ml_cdf_grid, ml_series_grid)
+from .special import (MlParams, _ml_eval, _ts_quad, density_sq_tail,  # noqa: F401
+                      l2_norm_f_squared, ml_cdf, ml_cdf_grid)
 
 __all__ = [
     "TRADING_DAY",
@@ -109,10 +109,10 @@ class ModelParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.hurst <= 0.5:
             raise ContractError(f"hurst must lie in (0, 1/2], got {self.hurst}")
-        if not self.lam > 0.0:
-            raise ContractError(f"lam must be positive, got {self.lam}")
-        if self.nu < 0.0:
-            raise ContractError(f"nu must be nonnegative, got {self.nu}")
+        if not (math.isfinite(self.lam) and self.lam > 0.0):
+            raise ContractError(f"lam must be finite and positive, got {self.lam}")
+        if not (math.isfinite(self.nu) and self.nu >= 0.0):
+            raise ContractError(f"nu must be finite and nonnegative, got {self.nu}")
         if not -1.0 <= self.rho <= 1.0:
             raise ContractError(f"rho must lie in [-1, 1], got {self.rho}")
 
@@ -139,8 +139,8 @@ class ForwardVarianceCurve:
 
     @classmethod
     def flat(cls, level: float) -> "ForwardVarianceCurve":
-        if not level > 0.0:
-            raise ContractError(f"flat level must be positive, got {level}")
+        if not (math.isfinite(level) and level > 0.0):
+            raise ContractError(f"flat level must be finite and positive, got {level}")
         return cls(np.array([0.0]), np.array([float(level)]))
 
     @classmethod
@@ -149,10 +149,10 @@ class ForwardVarianceCurve:
         v = np.asarray(values, dtype=float)
         if t.ndim != 1 or t.shape != v.shape or t.size == 0:
             raise ContractError("knot arrays must be equal-length 1-d and nonempty")
-        if np.any(t < 0.0) or np.any(np.diff(t) <= 0.0):
-            raise ContractError("knot times must be nonnegative and strictly increasing")
-        if np.any(v <= 0.0):
-            raise ContractError("xi0 must be positive at every knot")
+        if not (np.all(np.isfinite(t)) and np.all(t >= 0.0) and np.all(np.diff(t) > 0.0)):
+            raise ContractError("knot times must be finite, nonnegative and strictly increasing")
+        if not np.all(np.isfinite(v) & (v > 0.0)):
+            raise ContractError("xi0 must be finite and positive at every knot")
         if t.size == 1:
             return cls.flat(float(v[0]))
         return cls(t.copy(), v.copy())
@@ -203,33 +203,27 @@ class ZumbachCurve:
     asymptotic: np.ndarray | None = field(default=None)
 
     def __post_init__(self) -> None:
-        if self.delta <= 0.0 or self.t < self.delta:
-            raise ContractError("need delta > 0 and t >= delta")
+        _check_horizon(self.delta, self.t)
         if len(self.lags) != len(self.values):
             raise ContractError("lags and values must be equal length")
-        if len(self.lags) and np.any(np.asarray(self.lags) < 1):
-            raise ContractError("lags must be >= 1")
+        _check_lags(self.lags)
 
 
-def _ts_quad(fn, a: float, b: float, cuts=(), epsrel: float = 1e-8) -> float | np.ndarray:
-    """int_a^b fn(s, b - s) ds by the tanh-sinh rule on each segment between cuts.
+def _check_horizon(delta: float, t: float | None = None, xi_inf: float | None = None) -> None:
+    """ContractError unless delta > 0, t >= delta and xi_inf > 0 (those given), all finite."""
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ContractError(f"delta must be finite and positive, got {delta}")
+    if t is not None and not (math.isfinite(t) and t >= delta):
+        raise ContractError(f"need finite t >= delta, got t={t}, delta={delta}")
+    if xi_inf is not None and not (math.isfinite(xi_inf) and xi_inf > 0.0):
+        raise ContractError(f"xi_inf must be finite and positive, got {xi_inf}")
 
-    fn maps two 1-d arrays to one, or to one row per integrand (then the
-    result is an array); its second argument, the distance to b, is taken
-    from the mirrored node, so it stays exact and positive next to b.
-    QuadratureError if the rule at twice the step differs by more than
-    1e3 * epsrel * |value|.
-    """
-    cuts = np.asarray(cuts, dtype=float)
-    edges = np.unique(np.concatenate([[a, b], cuts[(cuts > a) & (cuts < b)]]))
-    lo, hi = edges[:-1], edges[1:]
 
-    def on_nodes(s, to_hi):
-        vals = fn(s.ravel(), ((b - hi)[:, None] + to_hi).ravel())
-        return vals.reshape(vals.shape[:-1] + s.shape)
-
-    val = _ts_rule(on_nodes, lo, hi, epsrel, f"on [{a}, {b}]")
-    return float(val) if val.ndim == 0 else val
+def _check_lags(lags) -> np.ndarray:
+    for k in lags:
+        if k < 1 or int(k) != k:
+            raise ContractError(f"k must be a positive integer, got {k}")
+    return np.asarray(lags, dtype=int)
 
 
 def _kernel_integral(alpha: float, lam: float, upper: np.ndarray, fn,
@@ -241,16 +235,20 @@ def _kernel_integral(alpha: float, lam: float, upper: np.ndarray, fn,
     1/Gamma(alpha).  The substitution u = v^(1/alpha) removes the u^(alpha-1)
     singularity, leaving E_{alpha,alpha}(-lam v) fn(v^(1/alpha)) / alpha,
     which fixed 48-node Gauss-Legendre integrates on each segment between
-    the kinks of fn: row i of ``cuts`` (shape (n, m)), clipped into
-    [0, upper[i]].  Cuts outside that range make zero-width segments, which
-    add exactly 0.  fn is called once, on the nodes u of shape (n, m + 1, 48).
+    the kinks of fn (row i of ``cuts``, shape (n, m)) and the kernel's scales
+    lam v = 8^j, all clipped into [0, upper[i]].  Cuts outside that range
+    make zero-width segments, which add exactly 0.  fn is called once, on
+    the nodes u of shape (n, segments, 48).
     """
     v_hi = upper**alpha
-    cut_v = np.clip(cuts, 0.0, upper[:, None]) ** alpha
+    top = lam * v_hi.max()
+    scales = 8.0 ** np.arange(math.ceil(math.log(top, 8.0)) if top > 1.0 else 0) / lam
+    cut_v = np.column_stack([np.clip(cuts, 0.0, upper[:, None]) ** alpha,
+                             np.minimum(scales, v_hi[:, None])])
     edges = np.sort(np.column_stack([np.zeros_like(v_hi), v_hi, cut_v]), axis=1)
     mid, half = 0.5 * (edges[:, :-1] + edges[:, 1:]), 0.5 * np.diff(edges, axis=1)
     v = mid[..., None] + half[..., None] * _GL_NODES
-    vals = ml_series_grid(alpha, 0.0, lam * v) * fn(v ** (1.0 / alpha))
+    vals = _ml_eval(alpha, lam * v, "kernel") * fn(v ** (1.0 / alpha))
     return (half * (vals @ _GL_WEIGHTS)).sum(axis=1) / alpha
 
 
@@ -272,11 +270,20 @@ def g0(params: ModelParams, curve: ForwardVarianceCurve, t: float) -> float:
 
     For a flat curve at level v this is v * (1 + lam t^alpha / Gamma(alpha+1)).
     """
-    if t < 0.0:
-        raise ContractError(f"t must be >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ContractError(f"t must be finite and >= 0, got {t}")
     kinks = curve._kinks_between(0.0, t)
     return curve(t) + params.lam * float(_kernel_integral(
         params.alpha, 0.0, np.array([t]), lambda u: curve(t - u), (t - kinks)[None, :])[0])
+
+
+def _lag_profile(alpha: float, ks: np.ndarray) -> np.ndarray:
+    """``g_alpha`` at every lag of ks, from one quadrature with one row per lag."""
+    if alpha == 1.0:
+        return np.full(ks.shape, 0.5)
+    k = ks[:, None]
+    return _ts_quad(lambda s, rest: ((k + s) ** alpha - (k + s - 1.0) ** alpha) * rest ** alpha,
+                    0.0, 1.0, epsrel=1e-11) / math.gamma(alpha + 1.0) ** 2
 
 
 def g_alpha(alpha: float, k: int) -> float:
@@ -288,15 +295,27 @@ def g_alpha(alpha: float, k: int) -> float:
     """
     if not 0.5 < alpha <= 1.0:
         raise ContractError(f"alpha must lie in (1/2, 1], got {alpha}")
-    if k < 1 or int(k) != k:
-        raise ContractError(f"k must be a positive integer, got {k}")
-    if alpha == 1.0:
-        return 0.5
+    return float(_lag_profile(alpha, _check_lags([k]))[0])
+
+
+def _lag_integrals(params: ModelParams, curve: ForwardVarianceCurve, t: float,
+                   ks: np.ndarray, delta: float) -> np.ndarray:
+    """I_k = int_0^delta [F(s + k delta) - F(s + (k-1) delta)] G(delta - s) ds at
+    every lag k >= 0 of ks, with F = 0 below 0 and the lag-free
+    G(x) = int_0^x f(u) xi0(t - delta + x - u) du.  Z_t(k) = 2 (rho nu/lam)^2 I_k
+    for k >= 1; I_0 is the leverage integral L of ``fourth_moment_r``.
+    """
+    p = params.ml()
+    c = t - delta
+    shifts = np.unique(np.concatenate([ks, ks - 1]))
 
     def integrand(s, rest):
-        return ((k + s) ** alpha - (k + s - 1.0) ** alpha) * rest ** alpha
+        x = np.maximum(s + shifts[:, None] * delta, 0.0)
+        cdf = ml_cdf_grid(p, x.ravel()).reshape(shifts.size, s.size)
+        diff = cdf[np.searchsorted(shifts, ks)] - cdf[np.searchsorted(shifts, ks - 1)]
+        return diff * _f_conv_curve(params, curve, rest, c + rest)
 
-    return _ts_quad(integrand, 0.0, 1.0, epsrel=1e-11) / math.gamma(alpha + 1.0) ** 2
+    return _ts_quad(integrand, 0.0, delta, t - curve._kinks_between(c, t), epsrel=1e-10)
 
 
 def zumbach_cov(params: ModelParams, curve: ForwardVarianceCurve, t: float,
@@ -316,28 +335,13 @@ def zumbach_cov(params: ModelParams, curve: ForwardVarianceCurve, t: float,
 
 def _zumbach_covs(params: ModelParams, curve: ForwardVarianceCurve, t: float,
                   lags, delta: float) -> np.ndarray:
-    """``zumbach_cov`` at every lag; the lag-free inner integral is evaluated once."""
-    if delta <= 0.0:
-        raise ContractError(f"delta must be positive, got {delta}")
-    if t < delta:
-        raise ContractError(f"need t >= delta, got t={t}, delta={delta}")
-    for k in lags:
-        if k < 1 or int(k) != k:
-            raise ContractError(f"k must be a positive integer, got {k}")
-    ks = np.asarray(lags, dtype=int)
+    """``zumbach_cov`` at every lag, from one ``_lag_integrals`` call."""
+    _check_horizon(delta, t)
+    ks = _check_lags(lags)
     if params.rho == 0.0 or params.nu == 0.0:
         return np.zeros(ks.size)
-    p = params.ml()
     pref = 2.0 * (params.rho * params.nu / params.lam) ** 2
-    c = t - delta
-    shifts = np.unique(np.concatenate([ks, ks - 1]))
-
-    def integrand(s, rest):
-        cdf = ml_cdf_grid(p, (s + shifts[:, None] * delta).ravel()).reshape(shifts.size, s.size)
-        diff = cdf[np.searchsorted(shifts, ks)] - cdf[np.searchsorted(shifts, ks - 1)]
-        return diff * _f_conv_curve(params, curve, rest, c + rest)
-
-    return pref * _ts_quad(integrand, 0.0, delta, t - curve._kinks_between(c, t))
+    return pref * _lag_integrals(params, curve, t, ks, delta)
 
 
 def zumbach_asymptotic(params: ModelParams, curve: ForwardVarianceCurve,
@@ -346,24 +350,28 @@ def zumbach_asymptotic(params: ModelParams, curve: ForwardVarianceCurve,
 
     Independent of lam by construction and proportional to xi0(t).
     """
-    if delta <= 0.0:
-        raise ContractError(f"delta must be positive, got {delta}")
-    if t < delta:
-        raise ContractError(f"need t >= delta, got t={t}, delta={delta}")
+    return float(_zumbach_asymptotics(params, curve, t, [k], delta)[0])
+
+
+def _zumbach_asymptotics(params: ModelParams, curve: ForwardVarianceCurve, t: float,
+                         lags, delta: float) -> np.ndarray:
+    """``zumbach_asymptotic`` at every lag, from one ``_lag_profile`` call."""
+    _check_horizon(delta, t)
+    ks = _check_lags(lags)
     if params.rho == 0.0 or params.nu == 0.0:
-        return 0.0
+        return np.zeros(ks.size)
     alpha = params.alpha
     return (2.0 * (params.rho * params.nu) ** 2 * delta ** (2.0 * alpha + 1.0)
-            * g_alpha(alpha, k) * curve(t))
+            * _lag_profile(alpha, ks) * curve(t))
 
 
 def zumbach_curve(params: ModelParams, curve: ForwardVarianceCurve, t: float,
                   lags, delta: float = TRADING_DAY) -> ZumbachCurve:
     """Evaluate ``zumbach_cov`` and ``zumbach_asymptotic`` over a lag grid."""
     lags = np.asarray(lags, dtype=int)
-    vals = _zumbach_covs(params, curve, t, lags, delta)
-    asym = np.array([zumbach_asymptotic(params, curve, t, int(k), delta) for k in lags])
-    return ZumbachCurve(delta=delta, t=t, lags=lags, values=vals, asymptotic=asym)
+    return ZumbachCurve(delta=delta, t=t, lags=lags,
+                        values=_zumbach_covs(params, curve, t, lags, delta),
+                        asymptotic=_zumbach_asymptotics(params, curve, t, lags, delta))
 
 
 def _sigma2_integrals(p: MlParams, curve: ForwardVarianceCurve, c: float,
@@ -395,17 +403,41 @@ def var_sigma2(params: ModelParams, curve: ForwardVarianceCurve, t: float,
     (nu/lam)^2 [ int_0^(t-delta) (F(s+delta) - F(s))^2 xi0(t-delta-s) ds
                + int_0^delta F(s)^2 xi0(t-s) ds ].
     """
-    if delta <= 0.0 or t < delta:
-        raise ContractError(f"need delta > 0 and t >= delta, got t={t}, delta={delta}")
+    _check_horizon(delta, t)
     if params.nu == 0.0:
         return 0.0
     return (params.nu / params.lam) ** 2 * _sigma2_integrals(params.ml(), curve, t - delta, delta)
 
 
-def _int_cdf_bilinear(p: MlParams, delta: float) -> float:
-    # int_0^delta F(u) F(delta-u) du
-    return _ts_quad(lambda u, rest: ml_cdf_grid(p, u) * ml_cdf_grid(p, rest),
-                    0.0, delta, epsrel=1e-10)
+def _leverage(params: ModelParams, curve: ForwardVarianceCurve, t: float,
+              delta: float) -> float:
+    """Leverage integral L of ``fourth_moment_r``; 0 where rho = 0 or nu = 0.
+
+    A flat curve reads the lag integral I_0.  Other curves run the nested rule
+    below, ~2e-7 off I_0 on a constant curve: its middle integral has no cuts.
+    """
+    if params.rho == 0.0 or params.nu == 0.0:
+        return 0.0
+    if curve.is_flat:
+        return float(_lag_integrals(params, curve, t, np.array([0]), delta)[0])
+    lam, c = params.lam, t - delta
+
+    def inner(s, _):
+        # int_0^s f(u) int_0^(s-u) f(x) xi0(c+s-u-x) dx du at every node s
+        def mid(u):
+            return _f_conv_curve(params, curve, (s[:, None, None] - u).ravel(),
+                                 (c + s[:, None, None] - u).ravel()).reshape(u.shape)
+
+        return lam * _kernel_integral(params.alpha, lam, s, mid, np.empty((s.size, 0)))
+
+    return _ts_quad(inner, 0.0, delta, t - curve._kinks_between(c, t))
+
+
+def _r4(params: ModelParams, leverage: float, gauss: float, var_s2: float) -> float:
+    """E[r^4] = 12 (rho nu/lam)^2 leverage + gauss + 3 var_s2; gauss alone at nu = 0."""
+    if params.nu == 0.0:
+        return gauss
+    return 12.0 * (params.rho * params.nu / params.lam) ** 2 * leverage + gauss + 3.0 * var_s2
 
 
 def fourth_moment_r(params: ModelParams, curve: ForwardVarianceCurve, t: float,
@@ -425,30 +457,9 @@ def fourth_moment_r(params: ModelParams, curve: ForwardVarianceCurve, t: float,
     F(u)^2 xi0(t-u) du, which is the edge integral of ``var_sigma2``, and the
     other term is its main integral.  At nu = 0 only G remains.
     """
-    if delta <= 0.0 or t < delta:
-        raise ContractError(f"need delta > 0 and t >= delta, got t={t}, delta={delta}")
-    lam, nu, rho = params.lam, params.nu, params.rho
-    c = t - delta
-    gauss = 3.0 * curve.integral(c, t) ** 2
-    if nu == 0.0:
-        return gauss
-    if rho == 0.0:
-        leverage = 0.0
-    elif curve.is_flat:
-        leverage = curve.level * _int_cdf_bilinear(params.ml(), delta)
-    else:
-        def inner(s, _):
-            # int_0^s f(u) int_0^(s-u) f(x) xi0(c+s-u-x) dx du at every node s;
-            # the middle integral runs without cuts
-            def mid(u):
-                return _f_conv_curve(params, curve, (s[:, None, None] - u).ravel(),
-                                     (c + s[:, None, None] - u).ravel()).reshape(u.shape)
-
-            return lam * _kernel_integral(params.alpha, lam, s, mid, np.empty((s.size, 0)))
-
-        leverage = _ts_quad(inner, 0.0, delta, t - curve._kinks_between(c, t))
-    return (12.0 * (rho * nu / lam) ** 2 * leverage + gauss
-            + 3.0 * var_sigma2(params, curve, t, delta))
+    _check_horizon(delta, t)
+    return _r4(params, _leverage(params, curve, t, delta), 3.0 * curve.integral(t - delta, t) ** 2,
+               var_sigma2(params, curve, t, delta))
 
 
 def stationary_var_sigma2(params: ModelParams, xi_inf: float,
@@ -459,10 +470,7 @@ def stationary_var_sigma2(params: ModelParams, xi_inf: float,
     for small delta this is equivalent to (nu/lam)^2 xi_inf delta^2 times the
     squared L2 norm of the density (the approach rate is delta^(2 alpha - 1)).
     """
-    if not xi_inf > 0.0:
-        raise ContractError(f"xi_inf must be positive, got {xi_inf}")
-    if delta <= 0.0:
-        raise ContractError(f"delta must be positive, got {delta}")
+    _check_horizon(delta, xi_inf=xi_inf)
     if params.nu == 0.0:
         return 0.0
     p = params.ml()
@@ -481,24 +489,9 @@ def stationary_fourth_moment_r(params: ModelParams, xi_inf: float,
     + 3 stationary_var_sigma2; equivalent for small delta to
     3 xi_inf^2 delta^2 + 3 (nu/lam)^2 xi_inf delta^2 * l2_norm_f_squared.
     """
-    if not xi_inf > 0.0:
-        raise ContractError(f"xi_inf must be positive, got {xi_inf}")
-    if delta <= 0.0:
-        raise ContractError(f"delta must be positive, got {delta}")
-    return _stationary_r4(params, xi_inf, delta,
-                          stationary_var_sigma2(params, xi_inf, delta))
-
-
-def _stationary_r4(params: ModelParams, xi_inf: float, delta: float,
-                   var_s2: float) -> float:
-    """Stationary E[r^4] given the stationary Var[sigma2]: leverage + gauss + 3 var_s2."""
-    nu, lam, rho = params.nu, params.lam, params.rho
-    gauss = 3.0 * xi_inf**2 * delta**2
-    if nu == 0.0:
-        return gauss
-    leverage = 0.0 if rho == 0.0 else \
-        12.0 * (rho * nu / lam) ** 2 * xi_inf * _int_cdf_bilinear(params.ml(), delta)
-    return leverage + gauss + 3.0 * var_s2
+    var_s2 = stationary_var_sigma2(params, xi_inf, delta)
+    leverage = _leverage(params, ForwardVarianceCurve.flat(xi_inf), delta, delta)
+    return _r4(params, leverage, 3.0 * xi_inf**2 * delta**2, var_s2)
 
 
 def zumbach_correl(params: ModelParams, xi_inf: float, k: int,
@@ -507,21 +500,23 @@ def zumbach_correl(params: ModelParams, xi_inf: float, k: int,
 
     Z(k) / sqrt(Var[sigma2] Var[r^2]) with every factor taken in its
     t -> infinity limit under a flat curve at xi_inf; Var[r^2] uses
-    E[r^2] = xi_inf * delta.  Dimensionless and positive for rho != 0; the
-    |value| <= 1 bound is checked only by a warning since numerator and
+    E[r^2] = xi_inf * delta.  Z(k) and the leverage term of E[r^4] come from
+    one ``_lag_integrals`` call.  Dimensionless and positive for rho != 0;
+    the |value| <= 1 bound is checked only by a warning since numerator and
     denominator come from separately computed limits.
     """
     if params.nu == 0.0:
         raise ContractError("correlation is degenerate at nu = 0 (zero variance)")
     if params.rho == 0.0:
         return 0.0
-    flat = ForwardVarianceCurve.flat(xi_inf)
-    num = zumbach_cov(params, flat, t=delta, k=k, delta=delta)
     var_s2 = stationary_var_sigma2(params, xi_inf, delta)
-    var_r2 = _stationary_r4(params, xi_inf, delta, var_s2) - (xi_inf * delta) ** 2
+    lags = np.append(_check_lags([k]), 0)
+    z_k, leverage = _lag_integrals(params, ForwardVarianceCurve.flat(xi_inf), delta, lags, delta)
+    num = 2.0 * (params.rho * params.nu / params.lam) ** 2 * z_k
+    var_r2 = _r4(params, leverage, 3.0 * xi_inf**2 * delta**2, var_s2) - (xi_inf * delta) ** 2
     if var_s2 <= 0.0 or var_r2 <= 0.0:
         raise ContractError("degenerate denominator in zumbach_correl")
-    out = num / math.sqrt(var_s2 * var_r2)
+    out = float(num / math.sqrt(var_s2 * var_r2))
     if abs(out) > 1.0:
         warnings.warn(f"zumbach_correl left [-1, 1]: {out}", stacklevel=2)
     return out
@@ -541,8 +536,7 @@ def zumbach_correl_small_delta(params: ModelParams, xi_inf: float, k: int,
     """
     if params.nu == 0.0:
         raise ContractError("correlation is degenerate at nu = 0 (zero variance)")
-    if not xi_inf > 0.0:
-        raise ContractError(f"xi_inf must be positive, got {xi_inf}")
+    _check_horizon(delta, xi_inf=xi_inf)
     if params.rho == 0.0:
         return 0.0
     alpha = params.alpha

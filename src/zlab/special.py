@@ -20,9 +20,10 @@ Evaluation strategy
 -------------------
 The power series of E_{a,b}(-z) cancels catastrophically once z^(1/a) is
 large, so it cannot serve every scale in double precision.  One array
-evaluator serves E, F and f (the scalar functions are one-element calls to
-it); it splits its arguments into two regimes and evaluates each regime for
-all of its points at once:
+evaluator serves E, F, f and the kernel E_{a,a}(-z) that ``zlab.model``
+integrates (the scalar functions are one-element calls to it); it splits its
+arguments into two regimes and evaluates each regime for all of its points
+at once:
 
 * ``z <= 7**a`` -- the defining power series, summed in plain double
   precision (``ml_series_grid``; worst cancellation bounded near
@@ -39,10 +40,10 @@ At a = 1 everything collapses to exp/expm1 and is special-cased: the
 exponential keeps its relative accuracy where e^-t falls below the
 contour's absolute error.
 
-The package has one tanh-sinh rule, ``_ts_rule`` (step 1/12, 77 nodes per
-segment, checked against its own step-1/6 sub-rule); ``l2_norm_f_squared``
-and ``zlab.model`` run their integrals on it.  No code path calls an
-adaptive quadrature.
+The package has one tanh-sinh rule, ``_ts_quad`` (step 1/12, 77 nodes per
+segment, checked against its step-1/6 sub-rule); ``l2_norm_f_squared`` and
+the outer integrals of ``zlab.model`` run on it, Z(k) and the flat leverage
+term of E[r^4] as rows of one call.  No code path calls an adaptive quadrature.
 
 All public entry points are pure functions; nothing in this module holds
 mutable state, so concurrent callers need no locking.
@@ -123,26 +124,31 @@ class MlParams:
             raise ContractError(f"lam must be positive, got {self.lam}")
 
 
-def _ts_rule(fn, lo: np.ndarray, hi: np.ndarray, epsrel: float, what: str) -> np.ndarray:
-    """Tanh-sinh integrals of fn over the segments [lo, hi] (shape (..., m)), summed over m.
+def _ts_quad(fn, a: float, b: float, cuts=(), epsrel: float = 1e-8) -> float | np.ndarray:
+    """int_a^b fn(s, b - s) ds by the tanh-sinh rule on each segment between cuts.
 
-    fn maps the nodes u and their exact distances hi - u, both (..., m, 77),
-    to values that broadcast against them.  The even-indexed nodes form the
-    rule at twice the step; QuadratureError names ``what`` if any integral
-    differs from it by more than 1e3 * epsrel * |value|.
+    fn maps two 1-d arrays, the nodes s and their distances b - s, to one of
+    their shape, or to one row per integrand (then the result is an array).
+    The distance to b comes from the mirrored node, so it stays exact and
+    positive next to b.  The even-indexed nodes form the rule at twice the
+    step; QuadratureError if any integral differs from it by more than
+    1e3 * epsrel * |value|.
     """
-    width = (hi - lo)[..., None]
-    terms = width * _TS_WEIGHTS * fn(lo[..., None] + width * _TS_NODES,
-                                     width * _TS_NODES[::-1])
+    cuts = np.asarray(cuts, dtype=float)
+    edges = np.unique(np.concatenate([[a, b], cuts[(cuts > a) & (cuts < b)]]))[:, None]
+    width = edges[1:] - edges[:-1]
+    vals = fn((edges[:-1] + width * _TS_NODES).ravel(),
+              (b - edges[1:] + width * _TS_NODES[::-1]).ravel())
+    terms = width * _TS_WEIGHTS * vals.reshape(vals.shape[:-1] + (width.size, _TS_X.size))
     val = terms.sum(axis=(-2, -1))
     coarse = 2.0 * terms[..., ::2].sum(axis=(-2, -1))
     bad = ~(np.isfinite(val) & (np.abs(val - coarse) <= 1e3 * epsrel * np.abs(val)))
     if np.any(bad):
         i = np.flatnonzero(bad)[0]
         raise QuadratureError(
-            f"tanh-sinh rule {what} gave {val.flat[i]:.6e} at step 1/12 and "
+            f"tanh-sinh rule on [{a}, {b}] gave {val.flat[i]:.6e} at step 1/12 and "
             f"{coarse.flat[i]:.6e} at step 1/6")
-    return val
+    return float(val) if val.ndim == 0 else val
 
 
 def _recip_gamma(x: float) -> float:
@@ -155,10 +161,12 @@ def _recip_gamma(x: float) -> float:
 def ml_series_grid(alpha: float, shift: float, z: np.ndarray) -> np.ndarray:
     """Vectorised E_{a,a+shift}(-z) = sum_k (-z)^k / Gamma(a*k + a + shift).
 
-    For 0 <= z <= 7**alpha only.  The sum stops once every element's next
-    term is below ~1e-20 (at alpha = 0.05 after ~1000 terms); the range only
-    keeps the gamma argument below its overflow at 171.6.  The kernel weights
-    depend bit for bit on the gamma argument's evaluation order.
+    For 0 <= z <= 7**alpha only; ``_ml_eval``, which sends every larger z to
+    the contour, is its only library caller.  The sum stops once every
+    element's next term is below ~1e-20 (at alpha = 0.05 after ~1000 terms);
+    the range only keeps the gamma argument below its overflow at 171.6.
+    The kernel weights depend bit for bit on the gamma argument's
+    evaluation order.
     """
     acc = np.zeros_like(z)
     power = np.ones_like(z)
@@ -191,23 +199,23 @@ def _ml_eval(alpha: float, z: np.ndarray, kind: str) -> np.ndarray:
 
     ``"neg"``: E_alpha(-z); ``"cdf"``: 1 - E_alpha(-z), summed in the series
     regime as z E_{alpha,alpha+1}(-z) so that tiny values keep their relative
-    accuracy; ``"density"``: the standard density f(y; alpha, 1) at
+    accuracy; ``"kernel"``: E_{alpha,alpha}(-z); ``"density"``: the standard
+    density f(y; alpha, 1) = E_{alpha,alpha}(-z) * z^(1 - 1/alpha) at
     y = z^(1/alpha), for z > 0.
     """
     if alpha >= 1.0 - _ALPHA_ONE_PAD:
         return -np.expm1(-z) if kind == "cdf" else np.exp(-z)
-    density = kind == "density"
-    beta = alpha if density else 1.0
+    beta = 1.0 if kind in ("neg", "cdf") else alpha
     series = z <= _SERIES_EDGE**alpha
     contour = ~series
-    out = np.empty_like(z)
-    zs = z[series]
-    out[series] = zs * ml_series_grid(alpha, 1.0, zs) if kind == "cdf" \
+    # an all-series array (as the model's kernel grids mostly are) is summed without copies
+    zs = z if series.all() else z[series]
+    out = zs * ml_series_grid(alpha, 1.0, zs) if kind == "cdf" \
         else ml_series_grid(alpha, beta - alpha, zs)
-    if np.any(contour):
-        out[contour] = _ml_contour(alpha, beta, z[contour])
-    if density:
-        # both regimes gave E_{alpha,alpha}(-z) = f(y) * y^(1-alpha)
+    if zs is not z:
+        out, vals = np.empty_like(z), out
+        out[series], out[contour] = vals, _ml_contour(alpha, beta, z[contour])
+    if kind == "density":
         out *= z ** (1.0 - 1.0 / alpha)
     elif kind == "cdf":
         out[contour] = 1.0 - out[contour]
@@ -305,13 +313,10 @@ def l2_norm_f_squared(p: MlParams) -> float:
         return 0.5 * lam
     a_edge, tail_edge = 0.5, 50.0
     expo = alpha / (2.0 * alpha - 1.0)
-    v_edges = np.concatenate([[0.0], a_edge ** (2.0 * alpha - 1.0)
-                              * 8.0 ** (-np.arange(3.0, -1.0, -1.0) / expo)])
-    origin = _ts_rule(lambda v, _: ml_series_grid(alpha, 0.0, v**expo) ** 2,
-                      v_edges[:-1], v_edges[1:], 1e-11,
-                      "on the origin piece of l2_norm_f_squared")
-    y_edges = np.array([a_edge, 2.0, 8.0, 32.0, tail_edge])
-    mid = _ts_rule(lambda y, _: _ml_eval(alpha, y**alpha, "density") ** 2,
-                   y_edges[:-1], y_edges[1:], 1e-11, "on the mid piece of l2_norm_f_squared")
+    v_end = a_edge ** (2.0 * alpha - 1.0)
+    origin = _ts_quad(lambda v, _: _ml_eval(alpha, v**expo, "kernel") ** 2,
+                      0.0, v_end, v_end * 8.0 ** (-np.arange(1.0, 4.0) / expo), 1e-11)
+    mid = _ts_quad(lambda y, _: _ml_eval(alpha, y**alpha, "density") ** 2,
+                   a_edge, tail_edge, (2.0, 8.0, 32.0), 1e-11)
     tail = density_sq_tail(MlParams(alpha, 1.0), tail_edge)
-    return lam ** (1.0 / alpha) * (float(origin) / (2.0 * alpha - 1.0) + float(mid) + tail)
+    return lam ** (1.0 / alpha) * (origin / (2.0 * alpha - 1.0) + mid + tail)

@@ -161,6 +161,7 @@ def test_a06_classical_limit_negligible():
     assert elapsed < 10.0
 
 
+@pytest.mark.slow
 def test_a07_monte_carlo_oracle(big_batch):
     t_y = MC_T_DAY * D
     details = []
@@ -189,6 +190,7 @@ def test_a07_monte_carlo_oracle(big_batch):
     assert float(zs.max()) < 3.0
 
 
+@pytest.mark.slow
 @pytest.mark.xfail(
     strict=True,
     reason="truncated-Euler level bias: at hurst=0.05, nu/lam=1.5 the one-step "

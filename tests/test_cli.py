@@ -97,6 +97,19 @@ class TestModelCommand:
         assert run(tmp_path, ["model", "--k-max", "0"]) == 4
         assert list(tmp_path.glob("model_curve.*")) == []
 
+    @pytest.mark.parametrize("flag,value", [("--nu", "nan"), ("--nu", "inf"), ("--t", "nan"),
+                                            ("--t", "inf"), ("--lam", "inf")])
+    def test_non_finite_input_is_contract_error_without_output(self, tmp_path, flag, value):
+        assert run(tmp_path, ["model", "--k-max", "3", flag, value]) == 4
+        assert list(tmp_path.glob("model_curve.*")) == []
+
+    def test_fast_mean_reversion_beyond_the_series_edge(self, tmp_path):
+        # lam^(1/alpha) * delta > 7 here: the kernel rule reaches the contour regime
+        assert run(tmp_path, ["model", "--lam", "200", "--k-max", "10"]) == 0
+        _, rows = read_rows(tmp_path / "model_curve.csv")
+        assert len(rows) == 10
+        assert all(float(r[2]) > 0.0 for r in rows)
+
     def test_help_documents_units(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["model", "--help"])

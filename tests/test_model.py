@@ -21,7 +21,8 @@ from scipy.integrate import quad
 
 from zlab.errors import ContractError
 from zlab.model import (TRADING_DAY, ForwardVarianceCurve, ModelParams,
-                        ZumbachCurve, _f_conv_curve, fourth_moment_r, g0, g_alpha,
+                        ZumbachCurve, _f_conv_curve, _lag_integrals, _ts_quad,
+                        fourth_moment_r, g0, g_alpha,
                         stationary_fourth_moment_r, stationary_var_sigma2,
                         var_sigma2, zumbach_asymptotic, zumbach_correl,
                         zumbach_correl_small_delta, zumbach_cov, zumbach_curve)
@@ -74,6 +75,31 @@ class TestTypes:
         with pytest.raises(ContractError):
             ModelParams(hurst=0.1, lam=0.3, nu=0.45, rho=-1.5)
         assert ModelParams(hurst=0.05, lam=0.3, nu=0.45, rho=-0.7).alpha == 0.55
+
+    @pytest.mark.parametrize("lam,nu", [(math.inf, 0.45), (math.nan, 0.45),
+                                        (0.3, math.inf), (0.3, math.nan)])
+    def test_model_params_reject_non_finite(self, lam, nu):
+        with pytest.raises(ContractError):
+            ModelParams(hurst=0.05, lam=lam, nu=nu, rho=-0.7)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_horizons_and_levels_reject_non_finite(self, bad):
+        with pytest.raises(ContractError):
+            ForwardVarianceCurve.flat(bad)
+        with pytest.raises(ContractError):
+            ForwardVarianceCurve.piecewise_linear([0.0, 1.0], [0.02, bad])
+        with pytest.raises(ContractError):
+            ForwardVarianceCurve.piecewise_linear([0.0, bad], [0.02, 0.03])
+        with pytest.raises(ContractError):
+            zumbach_cov(SEC4, FLAT, bad, 1, D)
+        with pytest.raises(ContractError):
+            var_sigma2(SEC4, FLAT, 1.0, bad)
+        with pytest.raises(ContractError):
+            fourth_moment_r(SEC4, FLAT, bad, D)
+        with pytest.raises(ContractError):
+            stationary_var_sigma2(SEC4, bad, D)
+        with pytest.raises(ContractError):
+            zumbach_correl_small_delta(SEC4, bad, 1, D)
 
     def test_curve_validation(self):
         with pytest.raises(ContractError):
@@ -149,16 +175,21 @@ class TestG0:
 
 
 class TestKernelRule:
-    @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.5])
-    def test_flat_curve_is_level_times_cdf(self, hurst):
+    @pytest.mark.parametrize("hurst,lam,rtol", [
+        (0.05, 0.3, 1e-15), (0.3, 0.3, 1e-15), (0.5, 0.3, 1e-15),
+        # lam^(1/alpha) * delta > 7: the kernel values beyond the series edge
+        # come from the contour, whose error is absolute
+        (0.05, 200.0, 1e-12), (0.05, 1000.0, 1e-12),
+    ], ids=["0.05", "0.3", "0.5", "0.05-lam200", "0.05-lam1000"])
+    def test_flat_curve_is_level_times_cdf(self, hurst, lam, rtol):
         # the closed form xi0 * F(upper) that a flat curve reduces to; t_arg = upper
         # puts the curve argument down to time 0
-        p = ModelParams(hurst=hurst, lam=0.3, nu=0.45, rho=-0.7)
+        p = ModelParams(hurst=hurst, lam=lam, nu=0.45, rho=-0.7)
         upper = np.array([0.0, 1e-9, D / 7, D / 2, D, 0.1])
         got = _f_conv_curve(p, FLAT, upper, upper)
         assert got[0] == 0.0
         np.testing.assert_allclose(got[1:], 0.025 * ml_cdf_grid(p.ml(), upper[1:]),
-                                   rtol=1e-15, atol=0.0)
+                                   rtol=rtol, atol=0.0)
 
     def test_batch_equals_one_element_calls(self):
         # in a batch, knots outside an element's range become zero-width
@@ -171,6 +202,24 @@ class TestKernelRule:
                for i in range(upper.size)]
         np.testing.assert_allclose(_f_conv_curve(SEC4, pl, upper, t_arg), one,
                                    rtol=1e-15, atol=0.0)
+
+
+class TestLagIntegral:
+    @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.5])
+    def test_lag_zero_is_the_flat_leverage_integral(self, hurst):
+        # I_0 on a flat curve against level * int_0^delta F(u) F(delta-u) du
+        p = ModelParams(hurst=hurst, lam=0.3, nu=0.45, rho=-0.7)
+        bilinear = _ts_quad(lambda u, rest: ml_cdf_grid(p.ml(), u) * ml_cdf_grid(p.ml(), rest),
+                            0.0, D, epsrel=1e-10)
+        got = _lag_integrals(p, FLAT, 1.0, np.array([0]), D)[0]
+        assert got == pytest.approx(0.025 * bilinear, rel=1e-14, abs=0.0)
+
+    def test_rows_do_not_depend_on_the_batch(self):
+        # zumbach_correl reads Z(k) and I_0 from one call; each row must keep
+        # the bits of its own one-lag call
+        both = _lag_integrals(SEC4, FLAT, D, np.array([3, 0]), D)
+        assert both[0] == _lag_integrals(SEC4, FLAT, D, np.array([3]), D)[0]
+        assert both[1] == _lag_integrals(SEC4, FLAT, D, np.array([0]), D)[0]
 
 
 class TestGAlpha:
@@ -327,6 +376,14 @@ class TestAsymptotic:
         assert np.all(zc.values > 0.0)
         assert np.all(zc.asymptotic > 0.0)
         assert zc.values[0] == pytest.approx(zumbach_cov(SEC4, FLAT, 1.0, 1, D), abs=0.0)
+
+    def test_curve_builder_matches_scalar_calls(self):
+        # the batched lag profile and its one-element calls are one code path
+        lags = [1, 2, 7, 40]
+        zc = zumbach_curve(SEC4, FLAT, 1.0, lags, D)
+        assert zc.asymptotic.tolist() == [zumbach_asymptotic(SEC4, FLAT, 1.0, k, D)
+                                          for k in lags]
+        assert zc.values.tolist() == [zumbach_cov(SEC4, FLAT, 1.0, k, D) for k in lags]
 
     def test_curve_builder_rho_zero_is_identically_zero(self):
         p = ModelParams(hurst=0.05, lam=0.3, nu=0.45, rho=0.0)
