@@ -166,8 +166,12 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--export-empirical", default=None, metavar="CSV",
                        help="write paths as synthetic indices in generic_csv format")
     p_sim.add_argument("--memory-budget-mb", type=int, default=1024,
-                       help="step-buffer budget in MiB; it sets the path chunking, "
-                            "and with it the paths (default %(default)s)")
+                       help="step-buffer budget in MiB, an upper bound on the path "
+                            "chunking: paths run in near-equal chunks of at most 512, and "
+                            "the budget counts 16 bytes a step per path, so at 15120 steps "
+                            "it binds only below ~148 MiB; a chunking that leaves fewer "
+                            "than 43 paths in a chunk may change the paths' last bits "
+                            "(default %(default)s)")
     _add_output_flags(p_sim)
 
     p_cmp = subs.add_parser("compare",

@@ -308,11 +308,19 @@ def _lag_integrals(params: ModelParams, curve: ForwardVarianceCurve, t: float,
     p = params.ml()
     c = t - delta
     shifts = np.unique(np.concatenate([ks, ks - 1]))
+    upper, lower = np.searchsorted(shifts, ks), np.searchsorted(shifts, ks - 1)
 
     def integrand(s, rest):
         x = np.maximum(s + shifts[:, None] * delta, 0.0)
-        cdf = ml_cdf_grid(p, x.ravel()).reshape(shifts.size, s.size)
-        diff = cdf[np.searchsorted(shifts, ks)] - cdf[np.searchsorted(shifts, ks - 1)]
+        cdf = ml_cdf_grid(p, x.ravel()).reshape(x.shape)
+        diff = cdf[upper] - cdf[lower]
+        # two CDF values near 1 cancel: past F = 1/2 take the difference
+        # from the tails E_alpha(-lam x^alpha) instead
+        far = cdf > 0.5
+        if far.any():
+            tail = np.zeros_like(cdf)
+            tail[far] = _ml_eval(p.alpha, p.lam * np.power(x[far], p.alpha), "neg")
+            diff = np.where(far[lower], tail[lower] - tail[upper], diff)
         return diff * _f_conv_curve(params, curve, rest, c + rest)
 
     return _ts_quad(integrand, 0.0, delta, t - curve._kinks_between(c, t), epsrel=1e-10)

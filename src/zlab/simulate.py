@@ -28,20 +28,27 @@ later without touching the interface.
 
 Every path owns an RNG stream derived from (seed, path index); with
 ``antithetic`` enabled, paths 2i and 2i+1 share stream i with negated
-normals.  Runs are bit-reproducible for a fixed configuration, including the
-``memory_budget_mb`` that sets the path chunking, on a fixed numpy/BLAS
-build; another chunking gives statistically equivalent, not equal, paths.
-Path generation is embarrassingly parallel; aggregation is a deterministic
-reduction over chunks.
+normals.  Runs are bit-reproducible for a fixed configuration on a fixed
+numpy/BLAS build, whatever the thread count.  Paths run in chunks of at most
+``_CHUNK_PATHS`` = 512, split near-equally (1000 paths as 500 + 500; below
+240 682 paths the last chunk keeps >= 43), and a smaller
+``memory_budget_mb`` can shrink them.  A path's bits do not depend
+on its chunk when chunks hold >= 43 paths (measured on OpenBLAS 0.3.31, 600
+paths x 1200 steps in chunks of 43 to 600); chunks of 3-6 paths, which BLAS
+sends through its small-matrix kernels, were measured to differ.
+``v_day_mean`` and ``v_day_se`` are reduced over chunks, so their last bits
+follow the chunking.  Path generation is embarrassingly parallel;
+aggregation is a deterministic reduction over chunks.
 
-Memory: a chunk holds one step-grid array per path (dB, overwritten by the
-kernel source as the steps run) and a few (256, path) step-major block
-buffers.  Each block copies its dB into one of them, turns it into the
-kernel source step by step there and copies it back for the later blocks'
-matrix products; it redraws its dW from the path's stream when it runs.
-The n_steps x 256 weight table is shared by all chunks.  The budget still
-counts two step-grid arrays per path, as when dW was stored too, so the
-chunking, and with it every path, is unchanged.
+Memory: a chunk holds one step-grid array per path (dW, overwritten by the
+kernel source as the steps run) and a few (256, path) block buffers.  Each
+path draws its stream once: z0, the first n normals, straight into the step
+array as dW; its generator then stays at z1, and each block draws its z1
+when it runs.  A block copies its dW into a step-major buffer, forms dB
+there, turns it into the kernel source step by step and copies it back for
+the later blocks' matrix products.  The n_steps x 256 weight table is shared
+by all chunks.  The budget counts two step-grid arrays per path, so at
+15120 steps it binds only below ~148 MiB, its count for 512 paths.
 
 Summation order: the inter-block part is one BLAS matrix product per block;
 within a block each step adds every path's earlier steps in step order,
@@ -73,6 +80,7 @@ __all__ = [
 ]
 
 _BLOCK_STEPS = 256  # convolution block length; the paths depend on it (summation order)
+_CHUNK_PATHS = 512  # most paths in one chunk; paths keep their bits in chunks of >= 43
 
 
 @dataclass(frozen=True)
@@ -80,13 +88,14 @@ class SimConfig:
     """Monte Carlo controls.
 
     delta is the day length in years; the step grid has
-    n_days * steps_per_day points.  The memory budget sets the path
-    chunking, and with it the paths.  A chunk holds one step-grid array per
-    path plus a few (256, path) step-major block buffers, but the budget
-    counts two step-grid arrays per path, so a run takes about half of it;
-    the count is kept because changing it would change the chunking and
-    every path.  The convolution's weight table, n_steps x 256 float64
-    values shared by all chunks, sits outside the budget.
+    n_days * steps_per_day points.  Paths run in near-equal chunks of at
+    most 512 (``chunk_paths``).  The memory budget is an upper bound on top:
+    it counts two step-grid arrays per path, although a chunk holds one plus
+    a few (256, path) block buffers, so it binds only below ~148 MiB at
+    15120 steps.  Chunks of >= 43 paths leave every path's bits unchanged;
+    a budget that leaves fewer may change them.  The convolution's weight
+    table, n_steps x 256 float64 values shared by all chunks, sits outside
+    the budget.
     """
 
     n_paths: int
@@ -120,11 +129,16 @@ class SimConfig:
         return self.delta / self.steps_per_day
 
     def chunk_paths(self) -> int:
-        # counts two (chunk, n_steps) float64 arrays per path although the
-        # engine holds one: the count fixes the chunking, and so the paths
+        # the budget counts two (chunk, n_steps) float64 arrays per path
+        # although the engine holds one, and stays an upper bound under the
+        # cap; the cap splits the paths into near-equal chunks (antithetic
+        # pairs kept whole), so no short tail takes BLAS's small-matrix path
         per_path = self.n_steps() * 2 * 8
-        chunk = int(self.memory_budget_mb * 2**20 * 0.8) // per_path
-        chunk = min(chunk, self.n_paths)
+        budget = int(self.memory_budget_mb * 2**20 * 0.8) // per_path
+        unit = 2 if self.antithetic else 1
+        units = self.n_paths // unit
+        n_chunks = -(-units // (_CHUNK_PATHS // unit))
+        chunk = min(budget, unit * -(-units // n_chunks))
         if self.antithetic and chunk > 1:
             chunk -= chunk % 2
         return chunk
@@ -186,6 +200,7 @@ def _path_stream(config: SimConfig, path_index: int):
 
 
 def _path_normals(config: SimConfig, path_index: int, n: int) -> np.ndarray:
+    """The path's normals (z0, z1) as one (2, n) array, as the engine draws them in pieces."""
     ss, flip = _path_stream(config, path_index)
     z = np.random.Generator(np.random.PCG64(ss)).standard_normal((2, n))
     return -z if flip else z
@@ -221,29 +236,27 @@ def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
     rho = params.rho
     rho_perp = math.sqrt(1.0 - rho * rho)
 
-    # dW_i = +-sqrt(dt) z0_i is redrawn block by block from a second generator
-    # on the path's stream (z0 leads the stream); negation is exact, so the
-    # antithetic twin keeps its bits
-    x_or_db = np.empty((n_chunk, n))  # dB until step i runs, then the kernel source
+    # the step array takes dW = +-sqrt(dt) z0, the first n normals of the
+    # path's stream; each path keeps its generator, now at z1, and every
+    # block draws its z1 when it runs.  Negation is exact, so the antithetic
+    # twin keeps its bits.
+    x_or_dw = np.empty((n_chunk, n))  # dW until its block runs, then the kernel source
     rngs = []
-    dw_scale = np.empty(n_chunk)
+    perp_scale = np.empty((n_chunk, 1))
     for c in range(n_chunk):
-        z = _path_normals(config, lo + c, n)
-        d_b = x_or_db[c]  # rho dW + rho_perp sqrt(dt) z1, formed in place
-        np.multiply(z[0], sqrt_dt, out=d_b)
-        d_b *= rho
-        z[1] *= rho_perp * sqrt_dt
-        d_b += z[1]
         ss, flip = _path_stream(config, lo + c)
-        rngs.append(np.random.Generator(np.random.PCG64(ss)))
-        dw_scale[c] = -sqrt_dt if flip else sqrt_dt
+        rng = np.random.Generator(np.random.PCG64(ss))
+        rng.standard_normal(out=x_or_dw[c])
+        x_or_dw[c] *= -sqrt_dt if flip else sqrt_dt
+        rngs.append(rng)
+        perp_scale[c] = -(rho_perp * sqrt_dt) if flip else rho_perp * sqrt_dt
 
     # the per-step vectors run across paths, so the block buffers and the
     # accumulators are (step or day, path): a column of a (path, step) array
     # strides a whole row per element
     r_acc = np.zeros((config.n_days, n_chunk))
     s2_acc = np.zeros((config.n_days, n_chunk))
-    x_blk = np.empty((_BLOCK_STEPS, n_chunk))  # the block's dB, then its source
+    x_blk = np.empty((_BLOCK_STEPS, n_chunk))  # the block's dW, then dB, then its source
     z_blk = np.empty((n_chunk, _BLOCK_STEPS))
     d_w_blk = np.empty((_BLOCK_STEPS, n_chunk))
     sqrt_blk = np.empty((_BLOCK_STEPS, n_chunk))
@@ -256,12 +269,21 @@ def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
             hi_blk = min(i0 + _BLOCK_STEPS, n)
             width = hi_blk - i0
             if i0:
-                past = (x_or_db[:, :i0] @ table[n - i0:, :width]).T.copy()
+                past = (x_or_dw[:, :i0] @ table[n - i0:, :width]).T.copy()
             else:
                 past = np.zeros((width, n_chunk))
             past += xi_step[i0:hi_blk, None]
             x = x_blk[:width]
-            x[...] = x_or_db[:, i0:hi_blk].T
+            x[...] = x_or_dw[:, i0:hi_blk].T
+            d_w = d_w_blk[:width]
+            d_w[...] = x
+            # dB = rho dW + rho_perp sqrt(dt) z1, formed in place
+            x *= rho
+            z = z_blk[:, :width]
+            for rng, row in zip(rngs, z):
+                rng.standard_normal(out=row)
+            z *= perp_scale
+            x += z.T
             # row b of past becomes the raw state V_{i0+b}; the einsum sums
             # each path's earlier steps in order, products and sums rounded
             # separately, as numpy's own matmul loop does (optimize would
@@ -279,7 +301,7 @@ def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
                 raise SimulationError(
                     f"non-finite variance state at path {lo + int(bad[1])}, "
                     f"step {i0 + int(bad[0])}")
-            x_or_db[:, i0:hi_blk] = x.T
+            x_or_dw[:, i0:hi_blk] = x.T
 
             # day-start states as deviations from xi0: the sums stay exact
             # where the paths agree (nu = 0) instead of cancelling
@@ -289,10 +311,6 @@ def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
                 dev_sum[day] += float(dev.sum())
                 dev_sumsq[day] += float(np.dot(dev, dev))
             neg += int(np.count_nonzero(past < 0.0))
-            for rng, row in zip(rngs, z_blk[:, :width]):
-                rng.standard_normal(out=row)
-            d_w = d_w_blk[:width]
-            np.multiply(z_blk[:, :width].T, dw_scale, out=d_w)
             d_w *= sqrt_blk[:width]  # the r terms sqrt(V+) dW
             _add_by_day(r_acc, d_w, i0, spd)
             np.maximum(past, 0.0, out=past)
@@ -309,7 +327,8 @@ def simulate_paths(params: ModelParams, curve: ForwardVarianceCurve,
     """Generate daily return / integrated-variance aggregates.
 
     Bit-identical for a fixed (config, params, curve) and build, whatever the
-    thread count; the chunking (from ``memory_budget_mb``) is part of config.
+    thread count; each path keeps its bits in any chunking whose chunks hold
+    >= 43 paths (see the module notes).
     The cross-path mean of the raw variance state equals xi0(t) in
     expectation at every grid time (the stochastic term is a martingale
     increment sum), which ``v_day_mean`` tracks per day start.

@@ -13,6 +13,7 @@ assertions afterwards.
 
 import io
 import math
+import resource
 import time
 
 import numpy as np
@@ -46,8 +47,11 @@ def big_batch():
     t0 = time.monotonic()
     # two path chunks at a time; the batch is bit-identical for any thread count
     batch = simulate_paths(SEC4, FLAT, MC_CONFIG, threads=2)
+    # ru_maxrss (KiB on Linux) is the test process's peak so far, this run included
+    peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"\n[acceptance MC: {MC_CONFIG.n_paths} paths x {MC_CONFIG.n_steps()} steps "
-          f"in {time.monotonic() - t0:.0f}s, truncation fraction {batch.neg_fraction:.2f}]")
+          f"in chunks of {MC_CONFIG.chunk_paths()}, {time.monotonic() - t0:.0f}s, "
+          f"truncation fraction {batch.neg_fraction:.2f}, peak RSS {peak_mib:.0f} MiB]")
     return batch
 
 

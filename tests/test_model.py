@@ -258,6 +258,18 @@ class TestZumbachCov:
             closed = closed_form_z_alpha1(CLASSICAL, 0.025, k, D)
             assert quad_val == pytest.approx(closed, rel=1e-7, abs=0.0)
 
+    def test_alpha1_closed_form_at_long_lags(self):
+        # lam delta = 0.38 at a weekly delta: F(s + k delta) lies within
+        # 1e-16 of 1 by k = 100, where a difference of CDF values returned
+        # exactly 0; the tails E(-lam x) keep Z(k) to its last digits
+        p = ModelParams(hurst=0.5, lam=20.0, nu=0.45, rho=-0.7)
+        week = 1.0 / 52.0
+        for k in (20, 50, 70, 100):
+            closed = closed_form_z_alpha1(p, 0.025, k, week)
+            assert zumbach_cov(p, FLAT, 3.0, k, week) == pytest.approx(closed, rel=1e-8, abs=0.0)
+        assert zumbach_cov(p, FLAT, 3.0, 100, week) > 0.0
+        assert np.all(zumbach_curve(p, FLAT, 3.0, range(1, 101), week).values > 0.0)
+
     def test_rho_sign_invariance(self):
         p_neg = ModelParams(hurst=0.05, lam=0.3, nu=0.45, rho=-0.7)
         p_pos = ModelParams(hurst=0.05, lam=0.3, nu=0.45, rho=0.7)

@@ -41,6 +41,18 @@ class TestConfig:
         with pytest.raises(ContractError):
             SimConfig(n_paths=3, steps_per_day=1, n_days=1, antithetic=True)
 
+    def test_chunk_rule(self):
+        # near-equal chunks of at most 512 paths, antithetic pairs kept
+        # whole; a smaller budget count still wins
+        for n_paths, antithetic, budget, chunk in (
+                (1000, False, 1024, 500), (1100, False, 1024, 367),
+                (1100, True, 1024, 368), (512, False, 1024, 512),
+                (100_000, False, 1024, 511), (100_000, True, 1024, 512),
+                (31, False, 1024, 31), (480, False, 1, 218), (480, True, 1, 218)):
+            cfg = SimConfig(n_paths=n_paths, steps_per_day=4, n_days=60,
+                            antithetic=antithetic, memory_budget_mb=budget)
+            assert cfg.chunk_paths() == chunk, (n_paths, antithetic, budget)
+
     def test_memory_guard(self):
         with pytest.raises(MemoryGuardError):
             SimConfig(n_paths=1, steps_per_day=1000, n_days=10000,
@@ -123,6 +135,31 @@ class TestReproducibility:
         head = simulate_paths(SEC4, FLAT, SimConfig(n_paths=240, steps_per_day=4,
                                                     n_days=60, seed=7))
         assert np.array_equal(head.r, b.r[:240]) and np.array_equal(head.s2, b.s2[:240])
+
+    def test_bitwise_across_chunk_sizes_on_multi_block_grid(self):
+        # 1200 steps span five convolution blocks.  Budgets of 6, 4, 2 and
+        # 1 MiB give chunks of 262, 174, 87 and 43 paths (and a last chunk
+        # of 76, 78, 78 or 41); the default run takes two chunks of 300
+        base = dict(n_paths=600, steps_per_day=20, n_days=60, seed=5)
+        ref = simulate_paths(SEC4, FLAT, SimConfig(**base))
+        assert ref.neg_fraction > 0.0
+        for budget, chunk in ((6, 262), (4, 174), (2, 87), (1, 43)):
+            cfg = SimConfig(**base, memory_budget_mb=budget)
+            assert cfg.chunk_paths() == chunk
+            batch = simulate_paths(SEC4, FLAT, cfg)
+            assert np.array_equal(ref.r, batch.r), budget
+            assert np.array_equal(ref.s2, batch.s2), budget
+            assert ref.neg_fraction == batch.neg_fraction, budget
+
+    def test_capped_chunks_keep_each_path(self):
+        # 1100 paths run as near-equal chunks of 367, 367 and 366; the first
+        # 300 are those of a 300-path run, which takes one chunk
+        cfg = SimConfig(n_paths=1100, steps_per_day=20, n_days=60, seed=5)
+        batch = simulate_paths(SEC4, FLAT, cfg, threads=2)
+        head = simulate_paths(SEC4, FLAT, SimConfig(n_paths=300, steps_per_day=20,
+                                                    n_days=60, seed=5))
+        assert np.array_equal(head.r, batch.r[:300])
+        assert np.array_equal(head.s2, batch.s2[:300])
 
     def test_seed_changes_output(self):
         base = SimConfig(n_paths=8, steps_per_day=4, n_days=6, seed=7)
@@ -247,6 +284,31 @@ class TestStepBuffer:
         assert cfg.chunk_paths() == cfg.n_paths
         n = cfg.n_steps()
         step_array = cfg.n_paths * n * 8
+        table = n * _BLOCK_STEPS * 8
+        outputs = 2 * cfg.n_paths * cfg.n_days * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            simulate_paths(MILD, FLAT, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * step_array + table + outputs
+
+    def test_peak_memory_is_one_capped_chunk(self):
+        import tracemalloc
+
+        from zlab.simulate import _BLOCK_STEPS
+
+        # the default budget would hold all 1100 paths, but the cap runs
+        # them as chunks of 367, 367 and 366, so the traced peak holds one
+        # such chunk's step array; at 12288 steps the per-block scratch (a
+        # few (256, chunk) buffers) and the chunk's generators stay within
+        # the quarter array
+        cfg = SimConfig(n_paths=1100, steps_per_day=128, n_days=96, seed=3)
+        n = cfg.n_steps()
+        step_array = 367 * n * 8
         table = n * _BLOCK_STEPS * 8
         outputs = 2 * cfg.n_paths * cfg.n_days * 8
         tracemalloc.start()
