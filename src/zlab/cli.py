@@ -169,8 +169,7 @@ def build_parser() -> _Parser:
                        help="step-buffer budget in MiB, an upper bound on the path "
                             "chunking: paths run in near-equal chunks of at most 512, and "
                             "the budget counts 16 bytes a step per path, so at 15120 steps "
-                            "it binds only below ~148 MiB; a chunking that leaves fewer "
-                            "than 43 paths in a chunk may change the paths' last bits "
+                            "it binds only below ~148 MiB; no chunking changes a path "
                             "(default %(default)s)")
     _add_output_flags(p_sim)
 

@@ -28,31 +28,34 @@ later without touching the interface.
 
 Every path owns an RNG stream derived from (seed, path index); with
 ``antithetic`` enabled, paths 2i and 2i+1 share stream i with negated
-normals.  Runs are bit-reproducible for a fixed configuration on a fixed
-numpy/BLAS build, whatever the thread count.  Paths run in chunks of at most
-``_CHUNK_PATHS`` = 512, split near-equally (1000 paths as 500 + 500; below
-240 682 paths the last chunk keeps >= 43), and a smaller
-``memory_budget_mb`` can shrink them.  A path's bits do not depend
-on its chunk when chunks hold >= 43 paths (measured on OpenBLAS 0.3.31, 600
-paths x 1200 steps in chunks of 43 to 600); chunks of 3-6 paths, which BLAS
-sends through its small-matrix kernels, were measured to differ.
-``v_day_mean`` and ``v_day_se`` are reduced over chunks, so their last bits
-follow the chunking.  Path generation is embarrassingly parallel;
+normals.  A path's bits depend on the seed, its index, the grid, the
+parameters and the numpy/BLAS build (measured on numpy 2.4.6 with OpenBLAS
+0.3.31, SkylakeX core), and not on the chunking, the memory budget or the
+thread count.  Paths run in near-equal chunks of at most ``_CHUNK_PATHS`` =
+512 (1000 paths as 500 + 500), and a smaller ``memory_budget_mb`` can shrink
+them.  ``v_day_mean`` and ``v_day_se`` are reduced over chunks, so their
+last bits follow the chunking.  Path generation is embarrassingly parallel;
 aggregation is a deterministic reduction over chunks.
 
-Memory: a chunk holds one step-grid array per path (dW, overwritten by the
-kernel source as the steps run) and a few (256, path) block buffers.  Each
-path draws its stream once: z0, the first n normals, straight into the step
-array as dW; its generator then stays at z1, and each block draws its z1
-when it runs.  A block copies its dW into a step-major buffer, forms dB
-there, turns it into the kernel source step by step and copies it back for
-the later blocks' matrix products.  The n_steps x 256 weight table is shared
-by all chunks.  The budget counts two step-grid arrays per path, so at
-15120 steps it binds only below ~148 MiB, its count for 512 paths.
+Memory: a chunk holds one step-major (step, path) array, dW until its block
+runs and then the kernel source sqrt(V+) dB, so a 256-step block is a view
+of it; the block's inter-block product, raw states, z1 and dW take four
+(256, path) buffers.  Each path draws its stream once: z0, the first n
+normals, straight into its column of the step array as dW; its generator
+then stays at z1, and each block draws its z1 when it runs.  Each chunk adds
+its day sums into its columns of the day-major outputs.  The n_steps x 256
+weight table is shared by all chunks.  The budget counts two step-grid
+arrays per path, so at 15120 steps it binds only below ~148 MiB, its count
+for 512 paths.
 
-Summation order: the inter-block part is one BLAS matrix product per block;
-within a block each step adds every path's earlier steps in step order,
-products and sums rounded separately.  Both orders are part of the paths.
+Summation order: the inter-block part is one BLAS matrix product per block,
+of one shape, all earlier steps of >= _PRODUCT_ROWS paths against the
+table's full 256 columns.  BLAS sums a product with fewer rows or columns
+(its small-matrix kernels) in another order, so a last block narrower than
+256 steps still takes the full table, and a chunk of fewer paths pads the
+product with zero paths.  Within a block each step adds every path's
+earlier steps in step order, products and sums rounded separately.  Both
+orders are part of the paths.
 """
 
 from __future__ import annotations
@@ -80,7 +83,8 @@ __all__ = [
 ]
 
 _BLOCK_STEPS = 256  # convolution block length; the paths depend on it (summation order)
-_CHUNK_PATHS = 512  # most paths in one chunk; paths keep their bits in chunks of >= 43
+_CHUNK_PATHS = 512  # most paths in one chunk
+_PRODUCT_ROWS = 8  # fewest paths in a block product; BLAS sums fewer in another order
 
 
 @dataclass(frozen=True)
@@ -92,8 +96,7 @@ class SimConfig:
     most 512 (``chunk_paths``).  The memory budget is an upper bound on top:
     it counts two step-grid arrays per path, although a chunk holds one plus
     a few (256, path) block buffers, so it binds only below ~148 MiB at
-    15120 steps.  Chunks of >= 43 paths leave every path's bits unchanged;
-    a budget that leaves fewer may change them.  The convolution's weight
+    15120 steps.  Neither changes a path's bits.  The convolution's weight
     table, n_steps x 256 float64 values shared by all chunks, sits outside
     the budget.
     """
@@ -129,10 +132,10 @@ class SimConfig:
         return self.delta / self.steps_per_day
 
     def chunk_paths(self) -> int:
-        # the budget counts two (chunk, n_steps) float64 arrays per path
+        # the budget counts two (n_steps, chunk) float64 arrays per path
         # although the engine holds one, and stays an upper bound under the
         # cap; the cap splits the paths into near-equal chunks (antithetic
-        # pairs kept whole), so no short tail takes BLAS's small-matrix path
+        # pairs kept whole)
         per_path = self.n_steps() * 2 * 8
         budget = int(self.memory_budget_mb * 2**20 * 0.8) // per_path
         unit = 2 if self.antithetic else 1
@@ -149,7 +152,8 @@ class PathBatch:
     """Daily aggregates of a simulation run.
 
     r, s2           : (n_paths, n_days) arrays of daily returns and
-                      integrated variances (s2 >= 0 by the truncation scheme).
+                      integrated variances (s2 >= 0 by the truncation scheme),
+                      transposed views of day-major (n_days, n_paths) arrays.
     v_day_mean/_se  : cross-path mean of the raw (untruncated) variance state
                       at each day start, with its standard error.
     neg_fraction    : fraction of steps where the recursion went negative
@@ -236,30 +240,35 @@ def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
     rho = params.rho
     rho_perp = math.sqrt(1.0 - rho * rho)
 
+    # the step array is step-major, (step, path): the per-step vectors run
+    # across paths and a block is a view of it.  The block product takes
+    # >= _PRODUCT_ROWS paths, so a smaller chunk pads the array with zero
+    # paths that only the product reads.
+    src = np.zeros((n, max(n_chunk, _PRODUCT_ROWS)))
+    x_or_dw = src[:, :n_chunk]  # dW until its block runs, then the kernel source
+
     # the step array takes dW = +-sqrt(dt) z0, the first n normals of the
     # path's stream; each path keeps its generator, now at z1, and every
     # block draws its z1 when it runs.  Negation is exact, so the antithetic
     # twin keeps its bits.
-    x_or_dw = np.empty((n_chunk, n))  # dW until its block runs, then the kernel source
     rngs = []
     perp_scale = np.empty((n_chunk, 1))
+    z0 = np.empty(n)
     for c in range(n_chunk):
         ss, flip = _path_stream(config, lo + c)
         rng = np.random.Generator(np.random.PCG64(ss))
-        rng.standard_normal(out=x_or_dw[c])
-        x_or_dw[c] *= -sqrt_dt if flip else sqrt_dt
+        rng.standard_normal(out=z0)
+        np.multiply(z0, -sqrt_dt if flip else sqrt_dt, out=x_or_dw[:, c])
         rngs.append(rng)
         perp_scale[c] = -(rho_perp * sqrt_dt) if flip else rho_perp * sqrt_dt
 
-    # the per-step vectors run across paths, so the block buffers and the
-    # accumulators are (step or day, path): a column of a (path, step) array
-    # strides a whole row per element
-    r_acc = np.zeros((config.n_days, n_chunk))
-    s2_acc = np.zeros((config.n_days, n_chunk))
-    x_blk = np.empty((_BLOCK_STEPS, n_chunk))  # the block's dW, then dB, then its source
+    prod = np.empty((src.shape[1], _BLOCK_STEPS))  # (path, step) as BLAS writes it
+    v_blk = np.empty((_BLOCK_STEPS, n_chunk))
     z_blk = np.empty((n_chunk, _BLOCK_STEPS))
     d_w_blk = np.empty((_BLOCK_STEPS, n_chunk))
-    sqrt_blk = np.empty((_BLOCK_STEPS, n_chunk))
+    sqrt_v = np.empty(n_chunk)
+    r_out = day_r[:, lo:hi]
+    s2_out = day_s2[:, lo:hi]
     neg = 0
 
     # overflowing states are caught by the finiteness guard below; numpy's
@@ -268,13 +277,16 @@ def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
         for i0 in range(0, n, _BLOCK_STEPS):
             hi_blk = min(i0 + _BLOCK_STEPS, n)
             width = hi_blk - i0
+            # one product shape for every block: all earlier steps against
+            # the table's full width; past views it (step, path)
             if i0:
-                past = (x_or_dw[:, :i0] @ table[n - i0:, :width]).T.copy()
+                np.matmul(src[:i0].T, table[n - i0:], out=prod)
             else:
-                past = np.zeros((width, n_chunk))
+                prod.fill(0.0)
+            past = prod[:n_chunk, :width].T
             past += xi_step[i0:hi_blk, None]
-            x = x_blk[:width]
-            x[...] = x_or_dw[:, i0:hi_blk].T
+            v_all = v_blk[:width]
+            x = x_or_dw[i0:hi_blk]  # the block's dW, then dB, then its source
             d_w = d_w_blk[:width]
             d_w[...] = x
             # dB = rho dW + rho_perp sqrt(dt) z1, formed in place
@@ -284,41 +296,40 @@ def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
                 rng.standard_normal(out=row)
             z *= perp_scale
             x += z.T
-            # row b of past becomes the raw state V_{i0+b}; the einsum sums
-            # each path's earlier steps in order, products and sums rounded
-            # separately, as numpy's own matmul loop does (optimize would
-            # hand it to BLAS, which sums in another order)
+            # row b of v_all is the raw state V_{i0+b}, past[b] plus the
+            # intra-block sum; the einsum sums each path's earlier steps in
+            # order, products and sums rounded separately, as numpy's own
+            # matmul loop does (optimize would hand it to BLAS, which sums in
+            # another order)
             for b in range(width):
-                v = past[b]
+                v = v_all[b]
                 if b:
-                    v += np.einsum('kp,k->p', x[:b], w[b:0:-1])
-                sqrt_v = sqrt_blk[b]
+                    np.einsum('kp,k->p', x[:b], w[b:0:-1], out=v)
+                    v += past[b]
+                else:
+                    v[...] = past[b]
                 np.maximum(v, 0.0, out=sqrt_v)
                 np.sqrt(sqrt_v, out=sqrt_v)
                 x[b] *= sqrt_v
+                d_w[b] *= sqrt_v  # the r terms sqrt(V+) dW
             if not np.all(np.isfinite(x)):
                 bad = np.argwhere(~np.isfinite(x))[0]
                 raise SimulationError(
                     f"non-finite variance state at path {lo + int(bad[1])}, "
                     f"step {i0 + int(bad[0])}")
-            x_or_dw[:, i0:hi_blk] = x.T
 
             # day-start states as deviations from xi0: the sums stay exact
             # where the paths agree (nu = 0) instead of cancelling
             for b in range(-i0 % spd, width, spd):
-                dev = past[b] - xi_step[i0 + b]
+                dev = v_all[b] - xi_step[i0 + b]
                 day = (i0 + b) // spd
                 dev_sum[day] += float(dev.sum())
                 dev_sumsq[day] += float(np.dot(dev, dev))
-            neg += int(np.count_nonzero(past < 0.0))
-            d_w *= sqrt_blk[:width]  # the r terms sqrt(V+) dW
-            _add_by_day(r_acc, d_w, i0, spd)
-            np.maximum(past, 0.0, out=past)
-            past *= dt  # the s2 terms V+ dt
-            _add_by_day(s2_acc, past, i0, spd)
-
-    day_r[lo:hi] = r_acc.T
-    day_s2[lo:hi] = s2_acc.T
+            neg += int(np.count_nonzero(v_all < 0.0))
+            _add_by_day(r_out, d_w, i0, spd)
+            np.maximum(v_all, 0.0, out=v_all)
+            v_all *= dt  # the s2 terms V+ dt
+            _add_by_day(s2_out, v_all, i0, spd)
     return neg
 
 
@@ -327,8 +338,7 @@ def simulate_paths(params: ModelParams, curve: ForwardVarianceCurve,
     """Generate daily return / integrated-variance aggregates.
 
     Bit-identical for a fixed (config, params, curve) and build, whatever the
-    thread count; each path keeps its bits in any chunking whose chunks hold
-    >= 43 paths (see the module notes).
+    thread count, chunking or memory budget (see the module notes).
     The cross-path mean of the raw variance state equals xi0(t) in
     expectation at every grid time (the stochastic term is a martingale
     increment sum), which ``v_day_mean`` tracks per day start.
@@ -355,8 +365,9 @@ def simulate_paths(params: ModelParams, curve: ForwardVarianceCurve,
     if xi_step.ndim == 0:
         xi_step = np.full(n, float(xi_step))
 
-    day_r = np.empty((config.n_paths, config.n_days))
-    day_s2 = np.empty((config.n_paths, config.n_days))
+    # day-major: each chunk adds its day sums into its columns
+    day_r = np.zeros((config.n_days, config.n_paths))
+    day_s2 = np.zeros((config.n_days, config.n_paths))
     chunk = config.chunk_paths()
     ranges = [(lo, min(lo + chunk, config.n_paths))
               for lo in range(0, config.n_paths, chunk)]
@@ -381,7 +392,7 @@ def simulate_paths(params: ModelParams, curve: ForwardVarianceCurve,
     v_var = np.maximum(dev_sumsq / npaths - dev_mean**2, 0.0)
     v_se = np.sqrt(v_var / npaths)
     return PathBatch(
-        r=day_r, s2=day_s2, config=config,
+        r=day_r.T, s2=day_s2.T, config=config,
         weight_checksum=zlib.crc32(w.tobytes()),
         neg_fraction=sum(negs) / (npaths * n),
         v_day_mean=v_mean, v_day_se=v_se)

@@ -161,6 +161,30 @@ class TestReproducibility:
         assert np.array_equal(head.r, batch.r[:300])
         assert np.array_equal(head.s2, batch.s2[:300])
 
+    def test_tiny_last_chunk_keeps_each_path(self):
+        # 528 steps end in a 16-step block; 1 MiB holds 99 paths of them, so
+        # 200 paths run as 99, 99 and 2, against one chunk of 200 by default
+        base = dict(n_paths=200, steps_per_day=4, n_days=132, seed=9)
+        cfg = SimConfig(**base, memory_budget_mb=1)
+        assert cfg.chunk_paths() == 99
+        ref = simulate_paths(SEC4, FLAT, SimConfig(**base))
+        batch = simulate_paths(SEC4, FLAT, cfg)
+        assert ref.neg_fraction > 0.0
+        assert np.array_equal(ref.r, batch.r)
+        assert np.array_equal(ref.s2, batch.s2)
+        assert ref.neg_fraction == batch.neg_fraction
+
+    @pytest.mark.parametrize("n_paths", range(1, 8))
+    def test_runs_of_few_paths_keep_each_path(self, n_paths):
+        # fewer paths than a block product's row floor: the run pads its
+        # product, so its paths are the first paths of a 200-path run
+        head = simulate_paths(SEC4, FLAT, SimConfig(n_paths=n_paths, steps_per_day=4,
+                                                    n_days=132, seed=9))
+        ref = simulate_paths(SEC4, FLAT, SimConfig(n_paths=200, steps_per_day=4,
+                                                   n_days=132, seed=9))
+        assert np.array_equal(head.r, ref.r[:n_paths])
+        assert np.array_equal(head.s2, ref.s2[:n_paths])
+
     def test_seed_changes_output(self):
         base = SimConfig(n_paths=8, steps_per_day=4, n_days=6, seed=7)
         other = SimConfig(n_paths=8, steps_per_day=4, n_days=6, seed=8)
@@ -321,11 +345,39 @@ class TestStepBuffer:
             tracemalloc.stop()
         assert peak <= 1.25 * step_array + table + outputs
 
+    def test_peak_memory_has_no_block_copies(self):
+        import tracemalloc
+
+        from zlab.simulate import _BLOCK_STEPS
+
+        # chunks of 367 paths over 12288 steps: besides the step array, the
+        # weight table and the outputs, the traced peak may hold eight
+        # (256, chunk) float64 buffers' worth of block scratch, generators
+        # and weights; a transposed copy of each block and of its inter-block
+        # product would take it past that
+        cfg = SimConfig(n_paths=1100, steps_per_day=128, n_days=96, seed=3)
+        assert cfg.chunk_paths() == 367
+        n = cfg.n_steps()
+        step_array = 367 * n * 8
+        table = n * _BLOCK_STEPS * 8
+        outputs = 2 * cfg.n_paths * cfg.n_days * 8
+        block = _BLOCK_STEPS * 367 * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            simulate_paths(MILD, FLAT, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= step_array + table + outputs + 8 * block
+
 
 def sequential_engine(params, curve, cfg):
     """Daily (r, s2) and the negative-state count of the engine's scheme, with
-    the same inter-block matrix product and a plain per-step loop for the
-    intra-block sum, each path's earlier steps added in order."""
+    the engine's inter-block matrix product (all paths, the table's full
+    width) and a plain per-step loop for the intra-block sum, each path's
+    earlier steps added in order."""
     from zlab.simulate import _BLOCK_STEPS
 
     n, dt, spd = cfg.n_steps(), cfg.dt(), cfg.steps_per_day
@@ -339,28 +391,25 @@ def sequential_engine(params, curve, cfg):
     r = np.zeros((cfg.n_paths, cfg.n_days))
     s2 = np.zeros((cfg.n_paths, cfg.n_days))
     neg = 0
-    chunk = cfg.chunk_paths()
-    for lo in range(0, cfg.n_paths, chunk):
-        paths = range(lo, min(lo + chunk, cfg.n_paths))
-        z = np.array([_path_normals(cfg, p, n) for p in paths])
-        d_w = z[:, 0] * sqrt_dt
-        source = d_w * params.rho + z[:, 1] * (rho_perp * sqrt_dt)  # dB, then sqrt(V+) dB
-        for i0 in range(0, n, _BLOCK_STEPS):
-            width = min(_BLOCK_STEPS, n - i0)
-            past = (source[:, :i0] @ table[n - i0:, :width] if i0
-                    else np.zeros((len(paths), width)))
-            past += xi[i0:i0 + width]
-            for b in range(width):
-                i = i0 + b
-                acc = np.zeros(len(paths))
-                for k in range(b):
-                    acc = acc + source[:, i0 + k] * w[b - k]
-                v = past[:, b] + acc
-                neg += int(np.count_nonzero(v < 0.0))
-                v_pos = np.maximum(v, 0.0)
-                r[lo:lo + len(paths), i // spd] += np.sqrt(v_pos) * d_w[:, i]
-                s2[lo:lo + len(paths), i // spd] += v_pos * dt
-                source[:, i] *= np.sqrt(v_pos)
+    z = np.array([_path_normals(cfg, p, n) for p in range(cfg.n_paths)])
+    d_w = z[:, 0] * sqrt_dt
+    source = d_w * params.rho + z[:, 1] * (rho_perp * sqrt_dt)  # dB, then sqrt(V+) dB
+    for i0 in range(0, n, _BLOCK_STEPS):
+        width = min(_BLOCK_STEPS, n - i0)
+        past = ((source[:, :i0] @ table[n - i0:])[:, :width] if i0
+                else np.zeros((cfg.n_paths, width)))
+        past += xi[i0:i0 + width]
+        for b in range(width):
+            i = i0 + b
+            acc = np.zeros(cfg.n_paths)
+            for k in range(b):
+                acc = acc + source[:, i0 + k] * w[b - k]
+            v = past[:, b] + acc
+            neg += int(np.count_nonzero(v < 0.0))
+            v_pos = np.maximum(v, 0.0)
+            r[:, i // spd] += np.sqrt(v_pos) * d_w[:, i]
+            s2[:, i // spd] += v_pos * dt
+            source[:, i] *= np.sqrt(v_pos)
     return r, s2, neg
 
 
