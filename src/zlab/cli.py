@@ -20,8 +20,7 @@ ingestion with --annualize (x252).  Exit codes: 1 usage, 2 parse/IO,
 3 numerical nonconvergence, 4 contract violation.  Every output file streams
 into a temp file beside it that is renamed on success, so failures leave no
 partial outputs.
-A simple ``key = value`` config file can preload any long-option default,
-and the ZLAB_THREADS environment variable seeds --threads.
+A simple ``key = value`` config file can preload any long-option default.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -81,14 +79,6 @@ def _json_writer(payload):
     return write
 
 
-def _default_threads() -> int:
-    env = os.environ.get("ZLAB_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hurst", type=float, default=0.05,
                    help="Hurst exponent of the variance paths, in (0, 1/2] (dimensionless)")
@@ -118,9 +108,6 @@ def build_parser() -> _Parser:
     top = _Parser(prog="zlab", description=__doc__.split("\n\n")[0])
     top.add_argument("--config", default=None, metavar="FILE",
                      help="key = value file preloading option defaults (keys use option names without --)")
-    top.add_argument("--threads", type=int, default=_default_threads(),
-                     help="worker threads for per-index / per-chunk parallelism "
-                          "(default from ZLAB_THREADS, else 1)")
     subs = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_emp = subs.add_parser("empirical",
@@ -157,7 +144,9 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--steps-per-day", type=int, default=20)
     p_sim.add_argument("--days", type=int, default=504, help="simulated horizon in days")
     p_sim.add_argument("--seed", type=int, default=0, help="RNG seed (64-bit)")
-    p_sim.add_argument("--antithetic", action="store_true")
+    p_sim.add_argument("--antithetic", action="store_true",
+                       help="pair each path with a twin of negated normals; standard "
+                            "errors are then taken over the pair means")
     p_sim.add_argument("--t-day", type=int, default=None,
                        help="estimation day (1-based); default mid-horizon")
     p_sim.add_argument("--k-max", type=int, default=10, help="largest lag in days")
@@ -287,16 +276,8 @@ def cmd_empirical(args) -> int:
     stems = _curve_stems(args.input, [s.index_id for s in series])
     if args.winsorize is not None:
         series = [emp.winsorize(s, args.winsorize) for s in series]
-
-    def one(s):
-        return s.index_id, emp.rho_curve(s, args.tau_max)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            curves = list(pool.map(one, series))
-    else:
-        curves = [one(s) for s in series]
-    curves.sort(key=lambda pair: pair[0])
+    curves = sorted(((s.index_id, emp.rho_curve(s, args.tau_max)) for s in series),
+                    key=lambda pair: pair[0])
 
     paths = []
     for index_id, curve in curves:
@@ -356,7 +337,7 @@ def cmd_simulate(args) -> int:
     if t_day + args.k_max > args.days:
         raise ContractError(
             f"t_day + k_max = {t_day + args.k_max} exceeds horizon {args.days}")
-    batch = sim.simulate_paths(params, curve, config, threads=args.threads)
+    batch = sim.simulate_paths(params, curve, config)
 
     rows = [sim.estimate_zumbach_mc(batch, t_day, int(k)) for k in ks]
     moments = sim.estimate_moments_mc(batch, t_day)

@@ -28,14 +28,15 @@ later without touching the interface.
 
 Every path owns an RNG stream derived from (seed, path index); with
 ``antithetic`` enabled, paths 2i and 2i+1 share stream i with negated
-normals.  A path's bits depend on the seed, its index, the grid, the
-parameters and the numpy/BLAS build (measured on numpy 2.4.6 with OpenBLAS
-0.3.31, SkylakeX core), and not on the chunking, the memory budget or the
-thread count.  Paths run in near-equal chunks of at most ``_CHUNK_PATHS`` =
-512 (1000 paths as 500 + 500), and a smaller ``memory_budget_mb`` can shrink
-them.  ``v_day_mean`` and ``v_day_se`` are reduced over chunks, so their
-last bits follow the chunking.  Path generation is embarrassingly parallel;
-aggregation is a deterministic reduction over chunks.
+normals, and the estimators take their standard errors over the pair means.
+A path's bits depend on the seed, its index, the grid, the parameters and
+the numpy/BLAS build (measured on numpy 2.4.6 with OpenBLAS 0.3.31,
+SkylakeX core), and not on the chunking or the memory budget.
+Paths run one chunk after another, in path order, in near-equal chunks of at
+most ``_CHUNK_PATHS`` = 512 (1000 paths as 500 + 500); a smaller
+``memory_budget_mb`` can shrink them.  The day-start sums behind
+``v_day_mean`` and ``v_day_se`` add the paths one by one in index order, so
+no output depends on the chunking.
 
 Memory: a chunk holds one step-major (step, path) array, dW until its block
 runs and then the kernel source sqrt(V+) dB, so a 256-step block is a view
@@ -62,7 +63,6 @@ from __future__ import annotations
 
 import math
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,7 +96,7 @@ class SimConfig:
     most 512 (``chunk_paths``).  The memory budget is an upper bound on top:
     it counts two step-grid arrays per path, although a chunk holds one plus
     a few (256, path) block buffers, so it binds only below ~148 MiB at
-    15120 steps.  Neither changes a path's bits.  The convolution's weight
+    15120 steps.  Neither changes any output.  The convolution's weight
     table, n_steps x 256 float64 values shared by all chunks, sits outside
     the budget.
     """
@@ -134,17 +134,11 @@ class SimConfig:
     def chunk_paths(self) -> int:
         # the budget counts two (n_steps, chunk) float64 arrays per path
         # although the engine holds one, and stays an upper bound under the
-        # cap; the cap splits the paths into near-equal chunks (antithetic
-        # pairs kept whole)
+        # cap; the cap splits the paths into near-equal chunks
         per_path = self.n_steps() * 2 * 8
         budget = int(self.memory_budget_mb * 2**20 * 0.8) // per_path
-        unit = 2 if self.antithetic else 1
-        units = self.n_paths // unit
-        n_chunks = -(-units // (_CHUNK_PATHS // unit))
-        chunk = min(budget, unit * -(-units // n_chunks))
-        if self.antithetic and chunk > 1:
-            chunk -= chunk % 2
-        return chunk
+        n_chunks = -(-self.n_paths // _CHUNK_PATHS)
+        return min(budget, -(-self.n_paths // n_chunks))
 
 
 @dataclass(frozen=True)
@@ -319,12 +313,17 @@ def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
                     f"step {i0 + int(bad[0])}")
 
             # day-start states as deviations from xi0: the sums stay exact
-            # where the paths agree (nu = 0) instead of cancelling
+            # where the paths agree (nu = 0) instead of cancelling.  Each
+            # day's sums go on from the earlier chunks' path by path, in
+            # index order, so they do not depend on the chunking.
             for b in range(-i0 % spd, width, spd):
                 dev = v_all[b] - xi_step[i0 + b]
+                sq = dev * dev
                 day = (i0 + b) // spd
-                dev_sum[day] += float(dev.sum())
-                dev_sumsq[day] += float(np.dot(dev, dev))
+                dev[0] += dev_sum[day]
+                sq[0] += dev_sumsq[day]
+                dev_sum[day] = np.add.accumulate(dev)[-1]
+                dev_sumsq[day] = np.add.accumulate(sq)[-1]
             neg += int(np.count_nonzero(v_all < 0.0))
             _add_by_day(r_out, d_w, i0, spd)
             np.maximum(v_all, 0.0, out=v_all)
@@ -334,11 +333,11 @@ def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
 
 
 def simulate_paths(params: ModelParams, curve: ForwardVarianceCurve,
-                   config: SimConfig, threads: int = 1) -> PathBatch:
+                   config: SimConfig) -> PathBatch:
     """Generate daily return / integrated-variance aggregates.
 
     Bit-identical for a fixed (config, params, curve) and build, whatever the
-    thread count, chunking or memory budget (see the module notes).
+    chunking or memory budget (see the module notes).
     The cross-path mean of the raw variance state equals xi0(t) in
     expectation at every grid time (the stochastic term is a martingale
     increment sum), which ``v_day_mean`` tracks per day start.
@@ -349,8 +348,6 @@ def simulate_paths(params: ModelParams, curve: ForwardVarianceCurve,
         path V = xi0 exactly.
     config : SimConfig
         Grid, seed and resource controls.
-    threads : int
-        Path chunks processed concurrently (results merged in fixed order).
     """
     w = precompute_kernel_weights(params, config)
     n = config.n_steps()
@@ -366,27 +363,18 @@ def simulate_paths(params: ModelParams, curve: ForwardVarianceCurve,
         xi_step = np.full(n, float(xi_step))
 
     # day-major: each chunk adds its day sums into its columns
-    day_r = np.zeros((config.n_days, config.n_paths))
-    day_s2 = np.zeros((config.n_days, config.n_paths))
-    chunk = config.chunk_paths()
-    ranges = [(lo, min(lo + chunk, config.n_paths))
-              for lo in range(0, config.n_paths, chunk)]
-    dev_sums = [(np.zeros(config.n_days), np.zeros(config.n_days)) for _ in ranges]
-
-    def run(idx):
-        lo, hi = ranges[idx]
-        return _simulate_chunk(xi_step, w, table, config, params, lo, hi,
-                               day_r, day_s2, *dev_sums[idx])
-
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            negs = list(pool.map(run, range(len(ranges))))
-    else:
-        negs = [run(i) for i in range(len(ranges))]
-
-    dev_sum = sum(s for s, _ in dev_sums)
-    dev_sumsq = sum(s for _, s in dev_sums)
     npaths = config.n_paths
+    day_r = np.zeros((config.n_days, npaths))
+    day_s2 = np.zeros((config.n_days, npaths))
+    dev_sum = np.zeros(config.n_days)
+    dev_sumsq = np.zeros(config.n_days)
+    chunk = config.chunk_paths()
+    neg = 0
+    for lo in range(0, npaths, chunk):
+        neg += _simulate_chunk(xi_step, w, table, config, params, lo,
+                               min(lo + chunk, npaths), day_r, day_s2,
+                               dev_sum, dev_sumsq)
+
     dev_mean = dev_sum / npaths
     v_mean = xi_step[::config.steps_per_day] + dev_mean
     v_var = np.maximum(dev_sumsq / npaths - dev_mean**2, 0.0)
@@ -394,7 +382,7 @@ def simulate_paths(params: ModelParams, curve: ForwardVarianceCurve,
     return PathBatch(
         r=day_r.T, s2=day_s2.T, config=config,
         weight_checksum=zlib.crc32(w.tobytes()),
-        neg_fraction=sum(negs) / (npaths * n),
+        neg_fraction=neg / (npaths * n),
         v_day_mean=v_mean, v_day_se=v_se)
 
 
@@ -413,6 +401,18 @@ def _check_day(batch: PathBatch, t_day: int, k: int = 0) -> None:
             f"need t_day + k <= n_days, got {t_day} + {k} > {batch.config.n_days}")
 
 
+def _mean_se(batch: PathBatch, x: np.ndarray) -> tuple[float, float]:
+    """Mean of the per-path values x and its standard error.
+
+    Antithetic twins (paths 2i, 2i+1) are not independent, so under
+    ``antithetic`` the SE is taken over the n/2 pair means.
+    """
+    units = x.reshape(-1, 2).mean(axis=1) if batch.config.antithetic else x
+    n = units.size
+    se = float(units.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
+    return float(x.mean()), se
+
+
 def estimate_zumbach_mc(batch: PathBatch, t_day: int, k: int) -> tuple[float, float]:
     """Sample estimate of the lag-k asymmetry at calendar day t_day (1-based).
 
@@ -422,7 +422,7 @@ def estimate_zumbach_mc(batch: PathBatch, t_day: int, k: int) -> tuple[float, fl
     expectation-difference form of the asymmetry in population because
     E[r^2] = E[s2] at every day, and it is exactly zero when the variance
     path is deterministic.  The standard error comes from the path-wise
-    deltas and scales as 1/sqrt(n_paths).
+    deltas (pair means under ``antithetic``) and scales as 1/sqrt(n_paths).
     """
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
@@ -431,26 +431,16 @@ def estimate_zumbach_mc(batch: PathBatch, t_day: int, k: int) -> tuple[float, fl
     b = _centered(batch.s2[:, t_day + k - 1])
     c = _centered(batch.r[:, t_day + k - 1] ** 2)
     d = _centered(batch.s2[:, t_day - 1])
-    deltas = a * b - c * d
-    n = deltas.size
-    se = float(deltas.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
-    return float(deltas.mean()), se
+    return _mean_se(batch, a * b - c * d)
 
 
 def estimate_moments_mc(batch: PathBatch, t_day: int) -> MomentEstimates:
     """Sample Var[s2] and E[r^4] at day t_day with standard errors."""
     _check_day(batch, t_day)
-    s = batch.s2[:, t_day - 1]
-    q = _centered(s) ** 2
-    r4 = batch.r[:, t_day - 1] ** 4
-    n = s.size
-    root_n = math.sqrt(n)
-    return MomentEstimates(
-        var_sigma2=float(q.mean()),
-        var_sigma2_se=float(q.std(ddof=1) / root_n) if n > 1 else float("inf"),
-        fourth_moment_r=float(r4.mean()),
-        fourth_moment_r_se=float(r4.std(ddof=1) / root_n) if n > 1 else float("inf"),
-    )
+    var_s2, var_s2_se = _mean_se(batch, _centered(batch.s2[:, t_day - 1]) ** 2)
+    r4, r4_se = _mean_se(batch, batch.r[:, t_day - 1] ** 4)
+    return MomentEstimates(var_sigma2=var_s2, var_sigma2_se=var_s2_se,
+                           fourth_moment_r=r4, fourth_moment_r_se=r4_se)
 
 
 def export_daily_csv(batch: PathBatch, fileobj) -> None:

@@ -2,8 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to stream the lines.  The
 Monte Carlo criterion simulates the full production configuration (1e5
-paths, 20 steps/day, 3 years) once per session (~10-15 minutes on two
-cores); everything else completes in seconds.
+paths, 20 steps/day, 3 years) once per session (~8-10 minutes);
+everything else completes in seconds.
 
 Statistical checks run at pinned seeds (the engine is bit-reproducible), so
 each assertion reflects a margin verified at that seed; seeds were chosen
@@ -45,8 +45,7 @@ def report(name: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def big_batch():
     t0 = time.monotonic()
-    # two path chunks at a time; the batch is bit-identical for any thread count
-    batch = simulate_paths(SEC4, FLAT, MC_CONFIG, threads=2)
+    batch = simulate_paths(SEC4, FLAT, MC_CONFIG)
     # ru_maxrss (KiB on Linux) is the test process's peak so far, this run included
     peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"\n[acceptance MC: {MC_CONFIG.n_paths} paths x {MC_CONFIG.n_steps()} steps "

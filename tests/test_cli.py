@@ -214,14 +214,6 @@ class TestEmpiricalCommand:
         assert "indices: 4" in text
         assert "Delta(10)" in text
 
-    def test_threads_match_serial(self, tmp_path, synth_csv):
-        out_a, out_b = tmp_path / "s", tmp_path / "p"
-        assert main(["empirical", "-i", str(synth_csv), "--tau-max", "8",
-                     "--output-dir", str(out_a)]) == 0
-        assert main(["--threads", "2", "empirical", "-i", str(synth_csv),
-                     "--tau-max", "8", "--output-dir", str(out_b)]) == 0
-        assert (out_a / "tra_average.csv").read_text() == (out_b / "tra_average.csv").read_text()
-
     def test_json_matches_library_writer(self, tmp_path, synth_csv):
         out = tmp_path / "j"
         assert main(["empirical", "-i", str(synth_csv), "--tau-max", "6",
@@ -353,15 +345,3 @@ class TestConfigFile:
         cfg.write_text("this line has no equals sign\n")
         assert main(["--config", str(cfg), "model",
                      "--output-dir", str(tmp_path)]) == 2
-
-
-class TestEnvThreads:
-    def test_zlab_threads_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ZLAB_THREADS", "2")
-        from zlab.cli import build_parser
-
-        args = build_parser().parse_args(["model"])
-        assert args.threads == 2
-        monkeypatch.setenv("ZLAB_THREADS", "not-a-number")
-        args = build_parser().parse_args(["model"])
-        assert args.threads == 1

@@ -42,12 +42,12 @@ class TestConfig:
             SimConfig(n_paths=3, steps_per_day=1, n_days=1, antithetic=True)
 
     def test_chunk_rule(self):
-        # near-equal chunks of at most 512 paths, antithetic pairs kept
-        # whole; a smaller budget count still wins
+        # near-equal chunks of at most 512 paths, antithetic or not; a
+        # smaller budget count still wins
         for n_paths, antithetic, budget, chunk in (
                 (1000, False, 1024, 500), (1100, False, 1024, 367),
-                (1100, True, 1024, 368), (512, False, 1024, 512),
-                (100_000, False, 1024, 511), (100_000, True, 1024, 512),
+                (1100, True, 1024, 367), (512, False, 1024, 512),
+                (100_000, False, 1024, 511), (100_000, True, 1024, 511),
                 (31, False, 1024, 31), (480, False, 1, 218), (480, True, 1, 218)):
             cfg = SimConfig(n_paths=n_paths, steps_per_day=4, n_days=60,
                             antithetic=antithetic, memory_budget_mb=budget)
@@ -120,14 +120,14 @@ class TestDeterministicLimits:
 
 
 class TestReproducibility:
-    def test_bitwise_across_chunking_and_threads(self):
-        # 1 MB holds 218 paths of 240 steps: three chunks on two threads
+    def test_bitwise_across_chunking(self):
+        # 1 MB holds 218 paths of 240 steps: three chunks
         cfg_a = SimConfig(n_paths=480, steps_per_day=4, n_days=60, seed=7)
         cfg_b = SimConfig(n_paths=480, steps_per_day=4, n_days=60, seed=7,
                           memory_budget_mb=1)
         assert cfg_b.chunk_paths() < cfg_b.n_paths
         a = simulate_paths(SEC4, FLAT, cfg_a)
-        b = simulate_paths(SEC4, FLAT, cfg_b, threads=2)
+        b = simulate_paths(SEC4, FLAT, cfg_b)
         assert np.array_equal(a.r, b.r) and np.array_equal(a.s2, b.s2)
         assert a.weight_checksum == b.weight_checksum
         assert a.neg_fraction == b.neg_fraction
@@ -155,7 +155,7 @@ class TestReproducibility:
         # 1100 paths run as near-equal chunks of 367, 367 and 366; the first
         # 300 are those of a 300-path run, which takes one chunk
         cfg = SimConfig(n_paths=1100, steps_per_day=20, n_days=60, seed=5)
-        batch = simulate_paths(SEC4, FLAT, cfg, threads=2)
+        batch = simulate_paths(SEC4, FLAT, cfg)
         head = simulate_paths(SEC4, FLAT, SimConfig(n_paths=300, steps_per_day=20,
                                                     n_days=60, seed=5))
         assert np.array_equal(head.r, batch.r[:300])
@@ -184,6 +184,22 @@ class TestReproducibility:
                                                    n_days=132, seed=9))
         assert np.array_equal(head.r, ref.r[:n_paths])
         assert np.array_equal(head.s2, ref.s2[:n_paths])
+
+    def test_every_output_bitwise_across_chunking(self):
+        # 560 steps: three blocks with days across their edges; 1 MB holds
+        # 93 paths, so 200 antithetic paths run as 93, 93 and 14 (the pair
+        # of paths 92 and 93 split across chunks), against one chunk of 200
+        # by default.  The day-start sums too add the paths in index order.
+        base = dict(n_paths=200, steps_per_day=7, n_days=80, seed=21, antithetic=True)
+        cfg = SimConfig(**base, memory_budget_mb=1)
+        assert cfg.chunk_paths() == 93
+        a = simulate_paths(SEC4, FLAT, SimConfig(**base))
+        b = simulate_paths(SEC4, FLAT, cfg)
+        assert a.neg_fraction > 0.0
+        for name in ("r", "s2", "v_day_mean", "v_day_se"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.neg_fraction == b.neg_fraction
+        assert a.weight_checksum == b.weight_checksum
 
     def test_seed_changes_output(self):
         base = SimConfig(n_paths=8, steps_per_day=4, n_days=6, seed=7)
@@ -266,20 +282,6 @@ class TestStepBuffer:
         batch = simulate_paths(params, curve, cfg)
         starts = curve(cfg.dt() * cfg.steps_per_day * np.arange(cfg.n_days))
         np.testing.assert_allclose(batch.v_day_mean, starts, rtol=1e-15, atol=0)
-
-    def test_threads_bitwise_on_multi_block_grid(self):
-        # 560 steps: three blocks with days across their edges; 1 MB holds
-        # 92 antithetic paths, so 200 paths run as three chunks
-        cfg = SimConfig(n_paths=200, steps_per_day=7, n_days=80, seed=21,
-                        antithetic=True, memory_budget_mb=1)
-        assert cfg.chunk_paths() == 92
-        a = simulate_paths(SEC4, FLAT, cfg)
-        b = simulate_paths(SEC4, FLAT, cfg, threads=2)
-        assert a.neg_fraction > 0.0
-        for name in ("r", "s2", "v_day_mean", "v_day_se"):
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
-        assert a.neg_fraction == b.neg_fraction
-        assert a.weight_checksum == b.weight_checksum
 
     @pytest.mark.parametrize("n_paths", [4, 1000])
     def test_day_start_se_exact_at_nu_zero(self, n_paths):
@@ -428,14 +430,14 @@ class TestSummationOrder:
                 acc = acc + x[k] * w[b - k]
             assert np.array_equal(np.einsum('kp,k->p', x[:b], w[b:0:-1]), acc), b
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_engine_matches_sequential_reference_bitwise(self, threads):
+    @pytest.mark.parametrize("budget_mb, chunk", [(1, 93), (2, 187)], ids=["1", "2"])
+    def test_engine_matches_sequential_reference_bitwise(self, budget_mb, chunk):
         # 560 steps in three blocks; 1 MB holds 93 paths, so 187 paths run
-        # as chunks of 93, 93 and 1
+        # as chunks of 93, 93 and 1, and 2 MB holds all 187 in one chunk
         cfg = SimConfig(n_paths=187, steps_per_day=7, n_days=80, seed=17,
-                        memory_budget_mb=1)
-        assert cfg.chunk_paths() == 93
-        batch = simulate_paths(SEC4, FLAT, cfg, threads=threads)
+                        memory_budget_mb=budget_mb)
+        assert cfg.chunk_paths() == chunk
+        batch = simulate_paths(SEC4, FLAT, cfg)
         r, s2, neg = sequential_engine(SEC4, FLAT, cfg)
         assert batch.neg_fraction > 0.0
         assert np.array_equal(batch.r, r)
@@ -584,6 +586,22 @@ class TestEstimators:
         d = batch.s2[:, 3]
         direct = (np.mean(a * b) - a.mean() * b.mean()) - (np.mean(c * d) - c.mean() * d.mean())
         assert est == pytest.approx(direct, rel=1e-12)
+
+    def test_antithetic_se_over_pair_means(self):
+        # twins that are exact copies hold no more than one path each: every
+        # SE is that of the n/2 distinct paths, and so is every estimate
+        unique = simulate_paths(SEC4, FLAT, SimConfig(n_paths=50, steps_per_day=2,
+                                                      n_days=10, seed=3))
+        cfg = SimConfig(n_paths=100, steps_per_day=2, n_days=10, seed=3, antithetic=True)
+        twins = PathBatch(r=np.repeat(unique.r, 2, axis=0), s2=np.repeat(unique.s2, 2, axis=0),
+                          config=cfg, weight_checksum=unique.weight_checksum,
+                          neg_fraction=unique.neg_fraction)
+        for k in (1, 2):
+            got, want = estimate_zumbach_mc(twins, 4, k), estimate_zumbach_mc(unique, 4, k)
+            assert got == pytest.approx(want, rel=1e-12), k
+        got, want = estimate_moments_mc(twins, 4), estimate_moments_mc(unique, 4)
+        for name in ("var_sigma2", "var_sigma2_se", "fourth_moment_r", "fourth_moment_r_se"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12), name
 
 
 class TestDiagnostics:
