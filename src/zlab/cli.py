@@ -19,7 +19,10 @@ variance is annualized; daily-unit realized variance can be annualized at
 ingestion with --annualize (x252).  Exit codes: 1 usage, 2 parse/IO,
 3 numerical nonconvergence, 4 contract violation.  Every output file streams
 into a temp file beside it that is renamed on success, so failures leave no
-partial outputs.
+partial outputs; it gets mode 0o666 less the umask, as ``open`` would give it.
+Every curve and estimate file is one table from ``_emit``: CSV has an optional
+``# key=value`` line, the header, then rows of ints, strings and ``%.12g``
+floats (NaN empty); JSON the same keys and columns, non-finite numbers null.
 A simple ``key = value`` config file can preload any long-option default.
 """
 
@@ -59,24 +62,21 @@ def _write_atomic(path: Path, write) -> None:
     """Stream ``write(fh)`` into a temp file beside ``path``, then rename it.
 
     The rename waits for ``write`` to return; any exception removes the file.
+    The file gets mode 0o666 less the umask (``mkstemp`` makes it 0o600).
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             write(fh)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _json_writer(payload):
-    def write(fh):
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    return write
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -228,10 +228,47 @@ def _lags(args) -> np.ndarray:
     return np.arange(1, args.k_max + 1)
 
 
-def _emit(args, stem: str, write_csv, write_json) -> Path:
-    """Write ``stem.csv`` or ``stem.json``, running only the selected writer."""
+def _json_value(value):
+    """``value`` as strict JSON takes it: arrays as lists, non-finite floats as None."""
+    if hasattr(value, "tolist"):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {key: _json_value(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return "" if math.isnan(value) else f"{value:.12g}"
+    return str(value)
+
+
+def _emit(args, stem: str, cols: dict, meta: dict | None = None,
+          payload: dict | None = None) -> Path:
+    """Write the table ``cols`` (name -> equal-length column) as ``stem.csv`` or ``.json``.
+
+    CSV: a ``# key=value`` line of ``meta`` (if any), the header, then the rows.
+    JSON: ``payload``, by default ``meta`` followed by the columns.
+    """
+    meta = meta or {}
     path = Path(args.output_dir) / f"{stem}.{args.format}"
-    _write_atomic(path, write_csv if args.format == "csv" else write_json)
+    if args.format == "csv":
+        def write(fh):
+            if meta:
+                fh.write("# " + " ".join(f"{key}={val}" for key, val in meta.items()) + "\n")
+            fh.write(",".join(cols) + "\n")
+            for row in zip(*(np.asarray(col).tolist() for col in cols.values())):
+                fh.write(",".join(map(_cell, row)) + "\n")
+    else:
+        def write(fh):
+            json.dump(_json_value({**meta, **cols} if payload is None else payload),
+                      fh, indent=2, allow_nan=False)
+            fh.write("\n")
+    _write_atomic(path, write)
     return path
 
 
@@ -268,6 +305,9 @@ def _curve_stems(source, index_ids) -> dict:
     return {ids[0]: stem for stem, ids in by_stem.items()}
 
 
+_TRA_COLUMNS = ("c2_fwd", "c2_bwd", "rho_fwd", "rho_bwd", "z", "delta_cum", "n_obs")
+
+
 def cmd_empirical(args) -> int:
     series = emp.ingest(args.input, fmt=args.input_format, rv_column=args.rv_column,
                         annualize=args.annualize, demean=args.demean)
@@ -279,20 +319,16 @@ def cmd_empirical(args) -> int:
     curves = sorted(((s.index_id, emp.rho_curve(s, args.tau_max)) for s in series),
                     key=lambda pair: pair[0])
 
-    paths = []
-    for index_id, curve in curves:
-        paths.append(_emit(args, stems[index_id], partial(emp.tra_to_csv, curve),
-                           partial(emp.tra_to_json, curve)))
     avg = emp.cross_index_average([c for _, c in curves])
-    paths.append(_emit(args, "tra_average", partial(emp.tra_to_csv, avg),
-                       partial(emp.tra_to_json, avg)))
+    for stem, curve in [(stems[index_id], c) for index_id, c in curves] + [("tra_average", avg)]:
+        path = _emit(args, stem, {"tau": curve.taus, **{
+            name: getattr(curve, name) for name in _TRA_COLUMNS}})
     _maybe_gnuplot(args, "tra_average", "asymmetry curve (cross-index average)",
                    [(4, "rho_fwd"), (5, "rho_bwd")])
     delta_total = emp.integrated_difference(avg, int(avg.taus[-1]))
     print(f"indices: {len(curves)}")
     print(f"Delta({avg.taus[-1]}) = {delta_total:.6g}")
-    for p in paths[-1:]:
-        print(f"wrote {p}")
+    print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -300,23 +336,17 @@ def cmd_model(args) -> int:
     params, curve = _model_inputs(args)
     ks = _lags(args)
     zc = mdl.zumbach_curve(params, curve, args.t, ks, args.delta)
-    header = f"# delta={args.delta!r} t={args.t!r}\n"
-    cols = "k,tau_years,zumbach_cov,zumbach_asymptotic"
-    lines = [f"{int(k)},{int(k) * args.delta:.12g},{v:.12g},{a:.12g}"
-             for k, v, a in zip(zc.lags, zc.values, zc.asymptotic)]
-    payload = {"delta": args.delta, "t": args.t, "k": zc.lags.tolist(),
-               "zumbach_cov": zc.values.tolist(),
-               "zumbach_asymptotic": zc.asymptotic.tolist()}
+    meta = {"delta": args.delta, "t": args.t}
+    cols = {"k": zc.lags, "tau_years": zc.lags * args.delta, "zumbach_cov": zc.values,
+            "zumbach_asymptotic": zc.asymptotic}
     if args.compare_h:
         params_h = mdl.ModelParams(hurst=0.5, lam=args.lam, nu=args.nu, rho=args.rho)
         zc_h = mdl.zumbach_curve(params_h, curve, args.t, ks, args.delta)
-        cols += ",zumbach_cov_h05,zumbach_asymptotic_h05"
-        lines = [f"{base},{v:.12g},{a:.12g}" for base, v, a in
-                 zip(lines, zc_h.values, zc_h.asymptotic)]
-        payload["zumbach_cov_h05"] = zc_h.values.tolist()
-        payload["zumbach_asymptotic_h05"] = zc_h.asymptotic.tolist()
-    csv_text = header + cols + "\n" + "\n".join(lines) + "\n"
-    path = _emit(args, "model_curve", lambda fh: fh.write(csv_text), _json_writer(payload))
+        cols["zumbach_cov_h05"] = zc_h.values
+        cols["zumbach_asymptotic_h05"] = zc_h.asymptotic
+    payload = {**meta, **cols}
+    del payload["tau_years"]  # the JSON curve keeps lags in days only
+    path = _emit(args, "model_curve", cols, meta, payload)
     _maybe_gnuplot(args, "model_curve", "asymmetry covariance vs lag",
                    [(3, "exact"), (4, "small-delta")], logscale=True)
     print(f"Z_t(1) = {zc.values[0]:.6g}  (asymptotic {zc.asymptotic[0]:.6g})")
@@ -342,26 +372,20 @@ def cmd_simulate(args) -> int:
     rows = [sim.estimate_zumbach_mc(batch, t_day, int(k)) for k in ks]
     moments = sim.estimate_moments_mc(batch, t_day)
 
-    header = f"# delta={args.delta!r} t_day={t_day} paths={args.paths} seed={args.seed}\n"
-    csv_text = header + "k,estimate,std_error\n" + "\n".join(
-        f"{int(k)},{est:.12g},{se:.12g}" for k, (est, se) in zip(ks, rows)) + "\n"
-    payload = {"delta": args.delta, "t_day": t_day, "paths": args.paths,
-               "seed": args.seed, "k": ks.tolist(),
-               "estimate": [est for est, _ in rows],
-               "std_error": [se for _, se in rows],
-               "var_sigma2": moments.var_sigma2,
-               "var_sigma2_se": moments.var_sigma2_se,
-               "fourth_moment_r": moments.fourth_moment_r,
-               "fourth_moment_r_se": moments.fourth_moment_r_se,
-               "neg_fraction": batch.neg_fraction,
-               "weight_checksum": batch.weight_checksum}
-    path = _emit(args, "zumbach_mc", lambda fh: fh.write(csv_text), _json_writer(payload))
-    mom_csv = ("quantity,estimate,std_error\n"
-               f"var_sigma2,{moments.var_sigma2:.12g},{moments.var_sigma2_se:.12g}\n"
-               f"fourth_moment_r,{moments.fourth_moment_r:.12g},{moments.fourth_moment_r_se:.12g}\n")
-    _emit(args, "moments_mc", lambda fh: fh.write(mom_csv), _json_writer({
-        "var_sigma2": [moments.var_sigma2, moments.var_sigma2_se],
-        "fourth_moment_r": [moments.fourth_moment_r, moments.fourth_moment_r_se]}))
+    meta = {"delta": args.delta, "t_day": t_day, "paths": args.paths, "seed": args.seed}
+    estimate, std_error = zip(*rows)
+    cols = {"k": ks, "estimate": estimate, "std_error": std_error}
+    path = _emit(args, "zumbach_mc", cols, meta, {
+        **meta, **cols,
+        "var_sigma2": moments.var_sigma2, "var_sigma2_se": moments.var_sigma2_se,
+        "fourth_moment_r": moments.fourth_moment_r,
+        "fourth_moment_r_se": moments.fourth_moment_r_se,
+        "neg_fraction": batch.neg_fraction, "weight_checksum": batch.weight_checksum})
+    mom = {"quantity": ("var_sigma2", "fourth_moment_r"),
+           "estimate": (moments.var_sigma2, moments.fourth_moment_r),
+           "std_error": (moments.var_sigma2_se, moments.fourth_moment_r_se)}
+    # the JSON keeps one [estimate, std_error] pair per quantity
+    _emit(args, "moments_mc", mom, payload={q: [est, se] for q, est, se in zip(*mom.values())})
 
     if args.dump_paths:
         _write_atomic(Path(args.dump_paths), partial(sim.export_daily_csv, batch))
@@ -451,21 +475,7 @@ def cmd_compare(args) -> int:
         cols["relative_gap_empirical"] = (emp_z - cols["model_cov"]) / cols["model_cov"]
         cols["relative_gap_mc"] = (mc_est - cols["model_cov"]) / cols["model_cov"]
 
-    names = list(cols)
-    lines = []
-    for i in range(k.size):
-        cells = []
-        for name in names:
-            val = cols[name][i]
-            if name == "k":
-                cells.append(f"{int(val)}")
-            else:
-                cells.append("" if math.isnan(val) else f"{val:.12g}")
-        lines.append(",".join(cells))
-    csv_text = ",".join(names) + "\n" + "\n".join(lines) + "\n"
-    payload = {name: [None if isinstance(v, float) and math.isnan(v) else float(v)
-                      for v in cols[name]] for name in names}
-    path = _emit(args, "comparison", lambda fh: fh.write(csv_text), _json_writer(payload))
+    path = _emit(args, "comparison", cols)
     print(f"joined {k.size} lags")
     print(f"wrote {path}")
     return EXIT_OK

@@ -29,7 +29,12 @@ Input formats
   close_price and a realized-variance column (``rk_parzen`` by default);
   returns are computed as log(close/open) and rows with missing fields are
   dropped (the drop count is recorded on the series).
-* ``generic_csv`` -- header ``index_id,date,r,s2``.
+* ``generic_csv`` -- header ``index_id,date,r,s2``; ``write_generic_csv``
+  writes it back losslessly.
+
+Curve files are not written here: ``zlab empirical`` writes each TraCurve as
+one table (columns tau, c2_fwd, c2_bwd, rho_fwd, rho_bwd, z, delta_cum, n_obs)
+through the CLI's table writer.
 
 Per-index computations are independent and parallelise trivially; all
 series are immutable after ingestion.
@@ -39,7 +44,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -61,8 +65,6 @@ __all__ = [
     "winsorize",
     "series_from_batch",
     "write_generic_csv",
-    "tra_to_csv",
-    "tra_to_json",
 ]
 
 MIN_PAIRS = 30
@@ -444,28 +446,3 @@ def write_generic_csv(series_list: list[DailySeries], fileobj) -> None:
         cells[2::3] = s.s2.tolist()
         row = f"{_csv_field(s.index_id).replace('%', '%%')},%s,%.17g,%.17g\n"
         fileobj.write((row * len(s)) % tuple(cells))
-
-
-def tra_to_csv(curve: TraCurve, fileobj) -> None:
-    fileobj.write("tau,c2_fwd,c2_bwd,rho_fwd,rho_bwd,z,delta_cum,n_obs\n")
-    dc = curve.delta_cum
-    for i, tau in enumerate(curve.taus):
-        fileobj.write(
-            f"{tau},{curve.c2_fwd[i]:.12g},{curve.c2_bwd[i]:.12g},"
-            f"{curve.rho_fwd[i]:.12g},{curve.rho_bwd[i]:.12g},"
-            f"{curve.z[i]:.12g},{dc[i]:.12g},{curve.n_obs[i]}\n")
-
-
-def tra_to_json(curve: TraCurve, fileobj) -> None:
-    payload = {
-        "tau": curve.taus.tolist(),
-        "c2_fwd": curve.c2_fwd.tolist(),
-        "c2_bwd": curve.c2_bwd.tolist(),
-        "rho_fwd": curve.rho_fwd.tolist(),
-        "rho_bwd": curve.rho_bwd.tolist(),
-        "z": curve.z.tolist(),
-        "delta_cum": curve.delta_cum.tolist(),
-        "n_obs": curve.n_obs.tolist(),
-    }
-    json.dump(payload, fileobj, indent=2)
-    fileobj.write("\n")

@@ -28,15 +28,16 @@ later without touching the interface.
 
 Every path owns an RNG stream derived from (seed, path index); with
 ``antithetic`` enabled, paths 2i and 2i+1 share stream i with negated
-normals, and the estimators take their standard errors over the pair means.
+normals, and every standard error, ``v_day_se`` included, is taken over the
+pair means.
 A path's bits depend on the seed, its index, the grid, the parameters and
 the numpy/BLAS build (measured on numpy 2.4.6 with OpenBLAS 0.3.31,
 SkylakeX core), and not on the chunking or the memory budget.
 Paths run one chunk after another, in path order, in near-equal chunks of at
-most ``_CHUNK_PATHS`` = 512 (1000 paths as 500 + 500); a smaller
-``memory_budget_mb`` can shrink them.  The day-start sums behind
-``v_day_mean`` and ``v_day_se`` add the paths one by one in index order, so
-no output depends on the chunking.
+most ``_CHUNK_PATHS`` = 512 (1000 paths as 500 + 500), of whole pairs under
+``antithetic``; a smaller ``memory_budget_mb`` can shrink them.  The
+day-start sums behind ``v_day_mean`` and ``v_day_se`` add the paths one by
+one in index order, so no output depends on the chunking.
 
 Memory: a chunk holds one step-major (step, path) array, dW until its block
 runs and then the kernel source sqrt(V+) dB, so a 256-step block is a view
@@ -93,12 +94,12 @@ class SimConfig:
 
     delta is the day length in years; the step grid has
     n_days * steps_per_day points.  Paths run in near-equal chunks of at
-    most 512 (``chunk_paths``).  The memory budget is an upper bound on top:
-    it counts two step-grid arrays per path, although a chunk holds one plus
-    a few (256, path) block buffers, so it binds only below ~148 MiB at
-    15120 steps.  Neither changes any output.  The convolution's weight
-    table, n_steps x 256 float64 values shared by all chunks, sits outside
-    the budget.
+    most 512 (``chunk_paths``), of whole pairs under antithetic.  The memory
+    budget is an upper bound on top: it counts two step-grid arrays per
+    path, although a chunk holds one plus a few (256, path) block buffers,
+    so it binds only below ~148 MiB at 15120 steps.  Neither changes any
+    output.  The convolution's weight table, n_steps x 256 float64 values
+    shared by all chunks, sits outside the budget.
     """
 
     n_paths: int
@@ -120,8 +121,10 @@ class SimConfig:
         if self.antithetic and self.n_paths % 2:
             raise ContractError("antithetic sampling needs an even n_paths")
         if self.chunk_paths() < 1:
+            unit = "pair of paths" if self.antithetic else "path"
             raise MemoryGuardError(
-                f"a single path is counted at {self.n_steps() * 2 * 8 / 2**20:.0f} MiB "
+                f"a single {unit} is counted at "
+                f"{self.n_steps() * 2 * 8 * (1 + self.antithetic) / 2**20:.0f} MiB "
                 f"(two step-grid arrays; the engine holds one plus per-block "
                 f"scratch), over the {self.memory_budget_mb} MiB budget")
 
@@ -134,11 +137,13 @@ class SimConfig:
     def chunk_paths(self) -> int:
         # the budget counts two (n_steps, chunk) float64 arrays per path
         # although the engine holds one, and stays an upper bound under the
-        # cap; the cap splits the paths into near-equal chunks
-        per_path = self.n_steps() * 2 * 8
-        budget = int(self.memory_budget_mb * 2**20 * 0.8) // per_path
-        n_chunks = -(-self.n_paths // _CHUNK_PATHS)
-        return min(budget, -(-self.n_paths // n_chunks))
+        # cap; the cap splits the paths into near-equal chunks.  Chunks hold
+        # whole antithetic pairs, whose means each chunk reduces.
+        unit = 2 if self.antithetic else 1
+        budget = int(self.memory_budget_mb * 2**20 * 0.8) // (self.n_steps() * 2 * 8 * unit)
+        n_units = self.n_paths // unit
+        n_chunks = -(-n_units // (_CHUNK_PATHS // unit))
+        return unit * min(budget, -(-n_units // n_chunks))
 
 
 @dataclass(frozen=True)
@@ -149,7 +154,8 @@ class PathBatch:
                       integrated variances (s2 >= 0 by the truncation scheme),
                       transposed views of day-major (n_days, n_paths) arrays.
     v_day_mean/_se  : cross-path mean of the raw (untruncated) variance state
-                      at each day start, with its standard error.
+                      at each day start, with its standard error (over
+                      the pair means under antithetic).
     neg_fraction    : fraction of steps where the recursion went negative
                       before truncation (diagnostic).
     weight_checksum : CRC-32 of the kernel weight table used.
@@ -315,10 +321,12 @@ def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
             # day-start states as deviations from xi0: the sums stay exact
             # where the paths agree (nu = 0) instead of cancelling.  Each
             # day's sums go on from the earlier chunks' path by path, in
-            # index order, so they do not depend on the chunking.
+            # index order, so they do not depend on the chunking.  The
+            # squares are those of the SE's units: paths, or pair means.
             for b in range(-i0 % spd, width, spd):
                 dev = v_all[b] - xi_step[i0 + b]
-                sq = dev * dev
+                unit = 0.5 * (dev[0::2] + dev[1::2]) if config.antithetic else dev
+                sq = unit * unit
                 day = (i0 + b) // spd
                 dev[0] += dev_sum[day]
                 sq[0] += dev_sumsq[day]
@@ -377,8 +385,9 @@ def simulate_paths(params: ModelParams, curve: ForwardVarianceCurve,
 
     dev_mean = dev_sum / npaths
     v_mean = xi_step[::config.steps_per_day] + dev_mean
-    v_var = np.maximum(dev_sumsq / npaths - dev_mean**2, 0.0)
-    v_se = np.sqrt(v_var / npaths)
+    n_units = npaths // 2 if config.antithetic else npaths
+    v_var = np.maximum(dev_sumsq / n_units - dev_mean**2, 0.0)
+    v_se = np.sqrt(v_var / n_units)
     return PathBatch(
         r=day_r.T, s2=day_s2.T, config=config,
         weight_checksum=zlib.crc32(w.tobytes()),

@@ -13,6 +13,7 @@ from zlab import model as mdl
 from zlab import simulate as sim
 from zlab.cli import main
 
+TRA_COLUMNS = ["c2_fwd", "c2_bwd", "rho_fwd", "rho_bwd", "z", "delta_cum", "n_obs"]
 SIM_SMALL = ["simulate", "--paths", "300", "--steps-per-day", "3", "--days", "30",
              "--seed", "11", "--k-max", "3"]
 
@@ -214,6 +215,20 @@ class TestEmpiricalCommand:
         assert "indices: 4" in text
         assert "Delta(10)" in text
 
+    def test_csv_columns_and_values(self, tmp_path, synth_csv):
+        out = tmp_path / "c"
+        assert main(["empirical", "-i", str(synth_csv), "--tau-max", "3",
+                     "--output-dir", str(out)]) == 0
+        series = sorted(emp.ingest(synth_csv), key=lambda s: s.index_id)
+        curve = emp.cross_index_average([emp.rho_curve(s, 3) for s in series])
+        header, rows = read_rows(out / "tra_average.csv")
+        assert header == ["tau", *TRA_COLUMNS]
+        assert [int(r[0]) for r in rows] == [1, 2, 3]
+        assert [int(r[-1]) for r in rows] == curve.n_obs.tolist()
+        for i, name in enumerate(TRA_COLUMNS[:-1], start=1):
+            assert [float(r[i]) for r in rows] == pytest.approx(
+                getattr(curve, name).tolist(), rel=1e-11, abs=0.0), name
+
     def test_json_matches_library_writer(self, tmp_path, synth_csv):
         out = tmp_path / "j"
         assert main(["empirical", "-i", str(synth_csv), "--tau-max", "6",
@@ -224,9 +239,11 @@ class TestEmpiricalCommand:
         assert sorted(p.name for p in out.iterdir()) == sorted(
             f"tra_{name}.json" for name in curves)
         for name, curve in curves.items():
-            buf = io.StringIO()
-            emp.tra_to_json(curve, buf)
-            assert (out / f"tra_{name}.json").read_text() == buf.getvalue()
+            payload = json.loads((out / f"tra_{name}.json").read_text())
+            assert list(payload) == ["tau", *TRA_COLUMNS]
+            assert payload["tau"] == curve.taus.tolist()
+            for col in TRA_COLUMNS:
+                assert payload[col] == getattr(curve, col).tolist(), (name, col)
 
     def test_colliding_output_names_are_parse_error(self, tmp_path, capsys):
         # ".AEX" and "AEX" both map to tra_AEX; "average" would replace tra_average
@@ -321,6 +338,86 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert str(bad) in err and "std_error" in err
         assert not out.exists() or not list(out.iterdir())
+
+
+def read_table(path):
+    """The ``#`` line's key=value pairs and the columns of a CSV table, as text."""
+    lines = path.read_text().splitlines()
+    meta = dict(tok.split("=", 1) for tok in lines.pop(0)[1:].split()) \
+        if lines[0].startswith("#") else {}
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    return meta, {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
+def as_cell(value):
+    """A JSON value as the CSV writes it: floats to 12 significant digits."""
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
+
+
+class TestOutputFiles:
+    def test_csv_columns_equal_json_lists(self, tmp_path):
+        # every table of model, simulate, empirical and compare in both
+        # formats: each CSV cell is its JSON value to 12 significant digits
+        # (an empty cell is null), and the # line holds the JSON's leading keys
+        csv_dir, json_dir = tmp_path / "csv", tmp_path / "json"
+        for fmt in ("csv", "json"):
+            out = tmp_path / fmt
+            assert run(out, ["model", "--k-max", "4", "--compare-h", "--format", fmt]) == 0
+            assert run(out, ["simulate", "--paths", "4", "--steps-per-day", "2", "--days", "220",
+                             "--seed", "3", "--k-max", "5", "--format", fmt,
+                             "--export-empirical", str(out / "panel.csv")]) == 0
+            assert run(out, ["empirical", "-i", str(out / "panel.csv"), "--tau-max", "3",
+                             "--format", fmt]) == 0
+            assert run(out / "cmp", ["compare", "--model-file", str(csv_dir / "model_curve.csv"),
+                                     "--mc-file", str(csv_dir / "zumbach_mc.csv"),
+                                     "--format", fmt]) == 0
+        stems = sorted(p.relative_to(json_dir).with_suffix("") for p in json_dir.rglob("*.json"))
+        assert stems == sorted(p.relative_to(csv_dir).with_suffix("")
+                               for p in csv_dir.rglob("*.csv") if p.name != "panel.csv")
+        assert len(stems) == 9
+        for stem in stems:
+            meta, cols = read_table(csv_dir / f"{stem}.csv")
+            payload = json.loads((json_dir / f"{stem}.json").read_text())
+            if stem.name == "moments_mc":  # one [estimate, std_error] pair per quantity
+                pairs = [payload[q] for q in cols.pop("quantity")]
+                payload = {"estimate": [e for e, _ in pairs], "std_error": [s for _, s in pairs]}
+            if stem.name == "model_curve":  # the JSON curve has no tau_years
+                del cols["tau_years"]
+            assert list(payload)[:len(meta)] == list(meta), stem
+            assert [str(payload[key]) for key in meta] == list(meta.values()), stem
+            for name, cells in cols.items():
+                want = ["" if v is None else as_cell(v) for v in payload[name]]
+                assert cells == want, (stem, name)
+
+    def test_one_path_json_is_strict(self, tmp_path):
+        # one path has no spread, so its standard errors are inf: CSV writes
+        # inf, and JSON null, which strict parsers accept where Infinity fails
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        one_path = ["simulate", "--paths", "1", "--steps-per-day", "2", "--days", "30",
+                    "--k-max", "3"]
+        assert run(tmp_path, [*one_path, "--format", "json"]) == 0
+        assert run(tmp_path, one_path) == 0
+        mc = json.loads((tmp_path / "zumbach_mc.json").read_text(), parse_constant=reject)
+        moments = json.loads((tmp_path / "moments_mc.json").read_text(), parse_constant=reject)
+        assert mc["std_error"] == [None] * 3
+        assert mc["var_sigma2_se"] is None and mc["fourth_moment_r_se"] is None
+        assert moments["var_sigma2"][1] is None and moments["fourth_moment_r"][1] is None
+        _, rows = read_rows(tmp_path / "zumbach_mc.csv")
+        assert [r[2] for r in rows] == ["inf"] * 3
+
+    def test_mode_follows_umask(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            assert run(tmp_path, [*SIM_SMALL, "--dump-paths", str(tmp_path / "paths.csv")]) == 0
+            assert run(tmp_path, ["model", "--k-max", "2", "--gnuplot"]) == 0
+        finally:
+            os.umask(old)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+        assert modes == dict.fromkeys(["zumbach_mc.csv", "moments_mc.csv", "paths.csv",
+                                       "model_curve.csv", "model_curve.gp"], 0o644)
 
 
 class TestConfigFile:

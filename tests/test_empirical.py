@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 
 from zlab.empirical import (DailySeries, TraCurve, c2, cross_index_average,
                             ingest, integrated_difference, rho_curve,
-                            series_from_batch, tra_to_csv, tra_to_json,
-                            winsorize, write_generic_csv)
+                            series_from_batch, winsorize, write_generic_csv)
 from zlab.errors import ContractError, ParseError
 
 
@@ -547,26 +546,21 @@ class TestWinsorize:
 
 
 class TestOutputs:
-    def test_csv_columns_and_values(self):
-        rng = np.random.default_rng(22)
-        curve = rho_curve(random_series(rng, 60), 3)
-        buf = io.StringIO()
-        tra_to_csv(curve, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "tau,c2_fwd,c2_bwd,rho_fwd,rho_bwd,z,delta_cum,n_obs"
-        assert len(lines) == 4
-        row = lines[1].split(",")
-        assert int(row[0]) == 1
-        assert float(row[5]) == pytest.approx(curve.z[0], rel=1e-10)
-
-    def test_json_mirror(self):
+    def test_json_mirror(self, tmp_path):
         import json
 
+        from zlab.cli import main
+
         rng = np.random.default_rng(23)
-        curve = rho_curve(random_series(rng, 60), 3)
-        buf = io.StringIO()
-        tra_to_json(curve, buf)
-        payload = json.loads(buf.getvalue())
+        series = random_series(rng, 60)
+        curve = rho_curve(series, 3)
+        f = tmp_path / "x.csv"
+        with open(f, "w") as fh:
+            write_generic_csv([series], fh)
+        out = tmp_path / "out"
+        assert main(["empirical", "-i", str(f), "--tau-max", "3", "--format", "json",
+                     "--output-dir", str(out)]) == 0
+        payload = json.loads((out / "tra_X.json").read_text())
         assert payload["tau"] == [1, 2, 3]
         assert payload["rho_fwd"] == pytest.approx(list(curve.rho_fwd))
         assert payload["delta_cum"] == pytest.approx(list(curve.delta_cum))

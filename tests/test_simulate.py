@@ -42,12 +42,12 @@ class TestConfig:
             SimConfig(n_paths=3, steps_per_day=1, n_days=1, antithetic=True)
 
     def test_chunk_rule(self):
-        # near-equal chunks of at most 512 paths, antithetic or not; a
-        # smaller budget count still wins
+        # near-equal chunks of at most 512 paths, of whole pairs under
+        # antithetic; a smaller budget count still wins
         for n_paths, antithetic, budget, chunk in (
                 (1000, False, 1024, 500), (1100, False, 1024, 367),
-                (1100, True, 1024, 367), (512, False, 1024, 512),
-                (100_000, False, 1024, 511), (100_000, True, 1024, 511),
+                (1100, True, 1024, 368), (512, False, 1024, 512),
+                (100_000, False, 1024, 511), (100_000, True, 1024, 512),
                 (31, False, 1024, 31), (480, False, 1, 218), (480, True, 1, 218)):
             cfg = SimConfig(n_paths=n_paths, steps_per_day=4, n_days=60,
                             antithetic=antithetic, memory_budget_mb=budget)
@@ -187,12 +187,12 @@ class TestReproducibility:
 
     def test_every_output_bitwise_across_chunking(self):
         # 560 steps: three blocks with days across their edges; 1 MB holds
-        # 93 paths, so 200 antithetic paths run as 93, 93 and 14 (the pair
-        # of paths 92 and 93 split across chunks), against one chunk of 200
-        # by default.  The day-start sums too add the paths in index order.
+        # 93 paths, so 200 antithetic paths run as 92, 92 and 16 (whole
+        # pairs), against one chunk of 200 by default.  The day-start sums
+        # too add the paths in index order.
         base = dict(n_paths=200, steps_per_day=7, n_days=80, seed=21, antithetic=True)
         cfg = SimConfig(**base, memory_budget_mb=1)
-        assert cfg.chunk_paths() == 93
+        assert cfg.chunk_paths() == 92
         a = simulate_paths(SEC4, FLAT, SimConfig(**base))
         b = simulate_paths(SEC4, FLAT, cfg)
         assert a.neg_fraction > 0.0
@@ -602,6 +602,19 @@ class TestEstimators:
         got, want = estimate_moments_mc(twins, 4), estimate_moments_mc(unique, 4)
         for name in ("var_sigma2", "var_sigma2_se", "fourth_moment_r", "fourth_moment_r_se"):
             assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12), name
+
+
+    def test_antithetic_v_day_se_over_pair_means(self):
+        # at nu = 1e-3 nothing truncates and each day-start state is odd in
+        # the normals to first order, so a pair's mean cancels it: the SE
+        # over the pair means falls ~1000-fold against that of independent
+        # paths, where one over paths as units reads about the same
+        p = ModelParams(hurst=0.3, lam=0.3, nu=1e-3, rho=-0.7)
+        base = dict(n_paths=200, steps_per_day=4, n_days=40, seed=5)
+        twins = simulate_paths(p, FLAT, SimConfig(**base, antithetic=True))
+        plain = simulate_paths(p, FLAT, SimConfig(**base))
+        assert twins.neg_fraction == 0.0
+        assert np.all(twins.v_day_se[1:] < 1e-2 * plain.v_day_se[1:])
 
 
 class TestDiagnostics:
