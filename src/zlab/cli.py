@@ -29,6 +29,7 @@ A simple ``key = value`` config file can preload any long-option default.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -174,6 +175,16 @@ def build_parser() -> _Parser:
                        help="day length (years) the inputs must share")
     _add_output_flags(p_cmp)
     return top
+
+
+@functools.lru_cache(maxsize=1)
+def _parser() -> _Parser:
+    """The parser ``main`` reuses for every call in a process.
+
+    Parsing leaves no state in it: config values arrive as argv tokens and
+    every call parses into a fresh namespace.
+    """
+    return build_parser()
 
 
 def _load_config_defaults(argv: list[str]) -> list[str]:
@@ -491,10 +502,9 @@ _DISPATCH = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
         argv = _load_config_defaults(argv)
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _DISPATCH[args.command](args)
     except ParseError as exc:
         print(f"zlab: parse error: {exc}", file=sys.stderr)

@@ -46,15 +46,23 @@ Segments end at curve kinks and, on long ranges, at the day scales
 delta * 8^j; the stationary limit adds a closed-form algebraic tail.
 Z(k) and the flat-curve leverage term of E[r^4] share one lag integral
 (``_lag_integrals``), so ``zumbach_correl`` takes both from one quadrature.
-Degenerate inputs (rho = 0 or nu = 0) short-circuit to exact zeros;
-non-finite horizons, levels and parameters are contract errors.
+Degenerate inputs (rho = 0 or nu = 0) short-circuit to exact zeros once
+the other inputs pass their checks; non-finite horizons, levels and
+parameters are contract errors.
 
-All operations are pure functions of immutable inputs and can be evaluated
-concurrently without locking.
+All operations are pure functions of immutable inputs.  The lag-free
+stationary terms are memoised, so a sweep over lags computes each once: the
+bracket of ``stationary_var_sigma2`` per (alpha, lam, xi_inf, delta) and
+``special.l2_norm_f_squared`` per (alpha, lam), each in a
+``functools.lru_cache`` of at most 128 entries.  Inputs are validated before
+the cache, so errors are never cached; a hit returns the very float the
+computation returned, so results are unchanged; and ``lru_cache`` is
+thread-safe, so calls can run concurrently without locking.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -481,12 +489,19 @@ def stationary_var_sigma2(params: ModelParams, xi_inf: float,
     _check_horizon(delta, xi_inf=xi_inf)
     if params.nu == 0.0:
         return 0.0
-    p = params.ml()
+    return (params.nu / params.lam) ** 2 * _stationary_sigma2_integrals(
+        float(params.alpha), float(params.lam), float(xi_inf), float(delta))
+
+
+@functools.lru_cache(maxsize=128)
+def _stationary_sigma2_integrals(alpha: float, lam: float, xi_inf: float,
+                                 delta: float) -> float:
+    """``stationary_var_sigma2`` / (nu/lam)^2, memoised (see the module docstring)."""
+    p = MlParams(alpha, lam)
     # beyond upper, (F(s+delta) - F(s))^2 ~ delta^2 f(s+delta/2)^2 has a closed form
     upper = max(60.0 / p.lam ** (1.0 / p.alpha), 1000.0 * delta)
     tail = xi_inf * delta**2 * density_sq_tail(p, upper + 0.5 * delta)
-    return (params.nu / params.lam) ** 2 * (
-        _sigma2_integrals(p, ForwardVarianceCurve.flat(xi_inf), upper, delta) + tail)
+    return _sigma2_integrals(p, ForwardVarianceCurve.flat(xi_inf), upper, delta) + tail
 
 
 def stationary_fourth_moment_r(params: ModelParams, xi_inf: float,
@@ -515,10 +530,11 @@ def zumbach_correl(params: ModelParams, xi_inf: float, k: int,
     """
     if params.nu == 0.0:
         raise ContractError("correlation is degenerate at nu = 0 (zero variance)")
+    _check_horizon(delta, xi_inf=xi_inf)
+    lags = np.append(_check_lags([k]), 0)
     if params.rho == 0.0:
         return 0.0
     var_s2 = stationary_var_sigma2(params, xi_inf, delta)
-    lags = np.append(_check_lags([k]), 0)
     z_k, leverage = _lag_integrals(params, ForwardVarianceCurve.flat(xi_inf), delta, lags, delta)
     num = 2.0 * (params.rho * params.nu / params.lam) ** 2 * z_k
     var_r2 = _r4(params, leverage, 3.0 * xi_inf**2 * delta**2, var_s2) - (xi_inf * delta) ** 2
@@ -545,6 +561,7 @@ def zumbach_correl_small_delta(params: ModelParams, xi_inf: float, k: int,
     if params.nu == 0.0:
         raise ContractError("correlation is degenerate at nu = 0 (zero variance)")
     _check_horizon(delta, xi_inf=xi_inf)
+    _check_lags([k])
     if params.rho == 0.0:
         return 0.0
     alpha = params.alpha

@@ -45,12 +45,16 @@ segment, checked against its step-1/6 sub-rule); ``l2_norm_f_squared`` and
 the outer integrals of ``zlab.model`` run on it, Z(k) and the flat leverage
 term of E[r^4] as rows of one call.  No code path calls an adaptive quadrature.
 
-All public entry points are pure functions; nothing in this module holds
-mutable state, so concurrent callers need no locking.
+All public entry points are pure functions.  The one piece of state is the
+memo of ``l2_norm_f_squared``: a ``functools.lru_cache`` of at most 128
+entries keyed by (alpha, lam) as floats.  It holds the very float the
+computation returned, so a hit changes no result bit, and ``lru_cache`` is
+thread-safe, so concurrent callers need no locking.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -306,9 +310,14 @@ def l2_norm_f_squared(p: MlParams) -> float:
     the singularity, the mid section on [0.5, 50], both on the tanh-sinh
     rule, and the tail beyond y = 50 from the algebraic expansion of the
     density.  The origin piece is cut where y^a falls by factors of 8, which
-    v^(a/(2a-1)) makes a sharp rise near its end as a -> 1/2.
+    v^(a/(2a-1)) makes a sharp rise near its end as a -> 1/2.  Values are
+    memoised per (alpha, lam); see the module docstring.
     """
-    alpha, lam = p.alpha, p.lam
+    return _l2_norm_f_squared(float(p.alpha), float(p.lam))
+
+
+@functools.lru_cache(maxsize=128)
+def _l2_norm_f_squared(alpha: float, lam: float) -> float:
     if alpha == 1.0:
         return 0.5 * lam
     a_edge, tail_edge = 0.5, 50.0

@@ -11,7 +11,7 @@ import pytest
 from zlab import empirical as emp
 from zlab import model as mdl
 from zlab import simulate as sim
-from zlab.cli import main
+from zlab.cli import build_parser, main
 
 TRA_COLUMNS = ["c2_fwd", "c2_bwd", "rho_fwd", "rho_bwd", "z", "delta_cum", "n_obs"]
 SIM_SMALL = ["simulate", "--paths", "300", "--steps-per-day", "3", "--days", "30",
@@ -442,3 +442,30 @@ class TestConfigFile:
         cfg.write_text("this line has no equals sign\n")
         assert main(["--config", str(cfg), "model",
                      "--output-dir", str(tmp_path)]) == 2
+
+
+class TestSharedParser:
+    """``main`` reuses one parser; no call's options leak into the next."""
+
+    def test_options_do_not_leak_into_the_next_call(self, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("k-max = 4\nformat = json\ngnuplot = true\n")
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["--config", str(cfg), "model", "--format", "json", "--gnuplot",
+                     "--output-dir", str(first)]) == 0
+        assert main(["model", "--output-dir", str(second)]) == 0
+        assert sorted(f.name for f in first.iterdir()) == ["model_curve.json"]
+        assert sorted(f.name for f in second.iterdir()) == ["model_curve.csv"]
+        _, rows = read_rows(second / "model_curve.csv")
+        assert len(rows) == 10
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_help_is_unchanged(self, capsys):
+        expected = build_parser().format_help()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == expected

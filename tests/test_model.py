@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from zlab import model, special
 from zlab.errors import ContractError
 from zlab.model import (TRADING_DAY, ForwardVarianceCurve, ModelParams,
                         ZumbachCurve, _f_conv_curve, _lag_integrals, _ts_quad,
@@ -536,6 +537,19 @@ class TestZumbachCorrel:
         p = ModelParams(hurst=0.3, lam=0.3, nu=0.45, rho=0.0)
         assert zumbach_correl(p, 0.025, 1, D) == 0.0
 
+    @pytest.mark.parametrize("xi_inf,k,delta", [
+        (math.nan, 1, D), (-1.0, 1, D), (0.025, 1, math.nan), (0.025, 0, D), (0.025, 1.5, D)])
+    def test_rho_zero_still_validates(self, xi_inf, k, delta):
+        p = ModelParams(hurst=0.3, lam=0.3, nu=0.45, rho=0.0)
+        with pytest.raises(ContractError):
+            zumbach_correl(p, xi_inf, k, delta)
+
+    @pytest.mark.parametrize("k", [0, 1.5])
+    def test_small_delta_rho_zero_still_validates_lag(self, k):
+        p = ModelParams(hurst=0.3, lam=0.3, nu=0.45, rho=0.0)
+        with pytest.raises(ContractError):
+            zumbach_correl_small_delta(p, 0.025, k, D)
+
     def test_degenerate_at_nu_zero(self):
         p = ModelParams(hurst=0.3, lam=0.3, nu=0.0, rho=-0.7)
         with pytest.raises(ContractError):
@@ -573,3 +587,52 @@ class TestZumbachCorrel:
         for k in (1, 5):
             num = zumbach_cov(p, ForwardVarianceCurve.flat(xi), t=D, k=k, delta=D)
             assert zumbach_correl(p, xi, k, D) == num / math.sqrt(var_s2 * var_r2)
+
+
+class TestStationaryMemo:
+    """The lag-free stationary terms are memoised without changing a bit."""
+
+    CORE = staticmethod(model._stationary_sigma2_integrals)
+
+    @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.5])
+    def test_cached_value_is_the_uncached_core(self, hurst):
+        p = ModelParams(hurst=hurst, lam=0.3, nu=0.45, rho=-0.7)
+        uncached = self.CORE.__wrapped__(p.alpha, p.lam, 0.025, D)
+        for _ in range(2):
+            assert stationary_var_sigma2(p, 0.025, D) == (p.nu / p.lam) ** 2 * uncached
+        assert self.CORE.cache_info().hits == 1
+
+    def test_lag_sweep_integrates_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sigma2_integrals(*args)
+
+        sigma2_integrals = model._sigma2_integrals
+        monkeypatch.setattr(model, "_sigma2_integrals", counted)
+        for k in range(1, 11):
+            zumbach_correl(SEC4, 0.025, k, D)
+            zumbach_correl_small_delta(SEC4, 0.025, k, D)
+        assert len(calls) == 1
+        assert special._l2_norm_f_squared.cache_info().misses == 1
+
+    @pytest.mark.parametrize("xi_inf,delta", [(math.nan, D), (-1.0, D), (0.025, 0.0)])
+    def test_invalid_input_raises_on_every_call(self, xi_inf, delta):
+        for _ in range(2):
+            with pytest.raises(ContractError):
+                stationary_var_sigma2(SEC4, xi_inf, delta)
+            with pytest.raises(ContractError):
+                zumbach_correl(SEC4, xi_inf, 1, delta)
+        assert self.CORE.cache_info().currsize == 0
+
+    def test_default_and_explicit_delta_share_one_entry(self):
+        assert stationary_var_sigma2(SEC4, 0.025) == stationary_var_sigma2(SEC4, 0.025, D)
+        info = self.CORE.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_entries_stay_within_the_bound(self):
+        bound = self.CORE.cache_info().maxsize
+        for i in range(bound + 5):
+            stationary_var_sigma2(CLASSICAL, 0.02 + 1e-4 * i, D)
+        assert self.CORE.cache_info().currsize == bound

@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfcx
 
+from zlab import special
 from zlab.errors import ContractError
 from zlab.special import (MlParams, l2_norm_f_squared, ml_cdf, ml_cdf_grid,
                           ml_density, ml_neg)
@@ -281,6 +282,26 @@ class TestL2Norm:
     def test_alpha_guard(self):
         with pytest.raises(ContractError):
             MlParams(0.5, 0.3)  # boundary alpha excluded: integral diverges
+
+    @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.5])
+    def test_cached_value_is_the_uncached_core(self, hurst):
+        core = special._l2_norm_f_squared
+        uncached = core.__wrapped__(hurst + 0.5, 0.3)
+        for _ in range(2):
+            assert l2_norm_f_squared(MlParams(hurst + 0.5, 0.3)) == uncached
+        assert core.cache_info().hits == 1
+
+    def test_equal_parameters_share_one_entry(self):
+        assert l2_norm_f_squared(MlParams(0.75, 1)) == l2_norm_f_squared(MlParams(0.75, 1.0))
+        info = special._l2_norm_f_squared.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_entries_stay_within_the_bound(self):
+        core = special._l2_norm_f_squared
+        bound = core.cache_info().maxsize
+        for i in range(bound + 5):
+            l2_norm_f_squared(MlParams(0.75, 0.3 + 0.01 * i))
+        assert core.cache_info().currsize == bound
 
 
 class TestMlParams:
