@@ -20,6 +20,8 @@ ingestion with --annualize (x252).  Exit codes: 1 usage, 2 parse/IO,
 3 numerical nonconvergence, 4 contract violation.  Every output file streams
 into a temp file beside it that is renamed on success, so failures leave no
 partial outputs; it gets mode 0o666 less the umask, as ``open`` would give it.
+The path dump and the synthetic panel of ``zlab simulate`` come from one
+formatting pass and appear together or not at all.
 Every curve and estimate file is one table from ``_emit``: CSV has an optional
 ``# key=value`` line, the header, then rows of ints, strings and ``%.12g``
 floats (NaN empty); JSON the same keys and columns, non-finite numbers null.
@@ -29,6 +31,7 @@ A simple ``key = value`` config file can preload any long-option default.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -59,24 +62,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _write_atomic(path: Path, write) -> None:
-    """Stream ``write(fh)`` into a temp file beside ``path``, then rename it.
+def _write_atomic(paths: list[Path], write) -> None:
+    """Stream ``write(*fhs)`` into temp files beside ``paths``, then rename them.
 
-    The rename waits for ``write`` to return; any exception removes the file.
-    The file gets mode 0o666 less the umask (``mkstemp`` makes it 0o600).
+    The renames wait for ``write`` to return; any exception removes every
+    temp file and every file already renamed, so the files appear together
+    or not at all.  Each gets mode 0o666 less the umask (``mkstemp`` makes
+    it 0o600).
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmps, renamed = [], []
     try:
-        with os.fdopen(fd, "w") as fh:
-            write(fh)
+        with contextlib.ExitStack() as stack:
+            fhs = []
+            for path in paths:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+                tmps.append(tmp)
+                fhs.append(stack.enter_context(os.fdopen(fd, "w")))
+            write(*fhs)
         umask = os.umask(0)
         os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        for tmp, path in zip(tmps, paths):
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
+            renamed.append(path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for name in [*tmps, *renamed]:
+            if os.path.exists(name):
+                os.unlink(name)
         raise
 
 
@@ -279,7 +292,7 @@ def _emit(args, stem: str, cols: dict, meta: dict | None = None,
             json.dump(_json_value({**meta, **cols} if payload is None else payload),
                       fh, indent=2, allow_nan=False)
             fh.write("\n")
-    _write_atomic(path, write)
+    _write_atomic([path], write)
     return path
 
 
@@ -294,7 +307,7 @@ def _maybe_gnuplot(args, stem: str, title: str, columns: list[tuple[int, str]],
     plots = [f'  "{stem}.csv" using 1:{col} with linespoints title "{name}"'
              for col, name in columns]
     script = "\n".join(lines) + "\nplot \\\n" + ", \\\n".join(plots) + "\n"
-    _write_atomic(Path(args.output_dir) / f"{stem}.gp", lambda fh: fh.write(script))
+    _write_atomic([Path(args.output_dir) / f"{stem}.gp"], lambda fh: fh.write(script))
 
 
 def _curve_stems(source, index_ids) -> dict:
@@ -398,10 +411,12 @@ def cmd_simulate(args) -> int:
     # the JSON keeps one [estimate, std_error] pair per quantity
     _emit(args, "moments_mc", mom, payload={q: [est, se] for q, est, se in zip(*mom.values())})
 
+    # both files come from one formatting pass, and appear together or not at all
     if args.dump_paths:
-        _write_atomic(Path(args.dump_paths), partial(sim.export_daily_csv, batch))
-    if args.export_empirical:
-        _write_atomic(Path(args.export_empirical),
+        _write_atomic([Path(name) for name in (args.dump_paths, args.export_empirical) if name],
+                      partial(sim.export_daily_csv, batch))
+    elif args.export_empirical:
+        _write_atomic([Path(args.export_empirical)],
                       partial(emp.write_generic_csv, emp.series_from_batch(batch)))
 
     print(f"t_day={t_day}  neg_fraction={batch.neg_fraction:.3f}")

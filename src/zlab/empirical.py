@@ -141,6 +141,18 @@ def _parse_float(text: str) -> float:
         raise
 
 
+def _floats(col: list) -> np.ndarray:
+    """The number tokens of one column, as ``_parse_float`` reads them.
+
+    Plain ``float`` converts the column unless a token is NA or blank;
+    only then does the column go through ``_parse_float``.
+    """
+    try:
+        return np.array(list(map(float, col)), dtype=float)
+    except ValueError:
+        return np.array(list(map(_parse_float, col)), dtype=float)
+
+
 _BLOCK_ROWS = 1 << 14  # rows converted per step, which bounds the transient memory
 
 
@@ -160,7 +172,7 @@ def _columns(rows: list, idx: list, oxford: bool):
         raise ParseError("empty index id")
     try:
         dates = np.array([text.strip()[:10] for text in cols[1]], dtype="datetime64[D]")
-        nums = [np.array(list(map(_parse_float, col)), dtype=float) for col in cols[2:]]
+        nums = [_floats(col) for col in cols[2:]]
     except (ValueError, OverflowError):
         raise ParseError("unparsable row") from None
     if np.any(np.isnat(dates)):  # numpy reads "" and "NaT" as no date
@@ -286,13 +298,16 @@ def _mean(x: np.ndarray) -> float:
 def _legs(series: DailySeries, taus):
     """Yield the legs (s2_t, r_{t-tau}^2) at each tau in turn.
 
-    Each lag's legs are slices of the series, compressed to the pairs with
-    both legs finite; r^2 and the finite masks are computed once per call.
+    Each lag's legs are slices of the series.  If any value is not finite,
+    they are compressed to the pairs with both legs finite (pairwise
+    deletion); a series from ``ingest`` is all finite, so its legs stay
+    plain slices.  r^2 and the finite masks are computed once per call.
     """
     n = len(series)
     r2 = series.r ** 2
     s2_ok = np.isfinite(series.s2)
     r_ok = np.isfinite(series.r)
+    all_finite = bool(s2_ok.all() and r_ok.all())
     for tau in taus:
         if abs(tau) >= n:
             raise ContractError(f"|tau|={abs(tau)} is not below series length {n}")
@@ -300,11 +315,13 @@ def _legs(series: DailySeries, taus):
             late, early = slice(tau, n), slice(0, n - tau)
         else:
             late, early = slice(0, n + tau), slice(-tau, n)
-        pairs = s2_ok[late] & r_ok[early]
-        s2_leg = series.s2[late][pairs]
+        s2_leg, r2_leg = series.s2[late], r2[early]
+        if not all_finite:
+            pairs = s2_ok[late] & r_ok[early]
+            s2_leg, r2_leg = s2_leg[pairs], r2_leg[pairs]
         if s2_leg.size < MIN_PAIRS:
             raise ContractError(f"only {s2_leg.size} valid pairs at tau={tau}; need {MIN_PAIRS}")
-        yield s2_leg, r2[early][pairs]
+        yield s2_leg, r2_leg
 
 
 def c2(series: DailySeries, tau: int) -> float:
@@ -432,17 +449,50 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()
 
 
+def _format_rows(r, s2, *heads) -> list[str]:
+    """The CSV rows of one path's days, one text per ``(lead, keys)`` head.
+
+    Day d's row of a head reads ``lead``, ``keys[d]``, then ``r[d],s2[d]``
+    with both numbers as ``%.17g`` (a lossless round trip).  The numbers are
+    formatted once, however many heads share them.
+    """
+    n = len(r)
+    cells = [None] * (2 * n)
+    cells[0::2] = r.tolist()
+    cells[1::2] = s2.tolist()
+    tails = (("%.17g,%.17g\n" * n) % tuple(cells)).splitlines(keepends=True)
+    texts = []
+    for lead, keys in heads:
+        parts = [lead] * (3 * n)
+        parts[1::3] = keys
+        parts[2::3] = tails
+        texts.append("".join(parts))
+    return texts
+
+
+_GENERIC_HEADER = "index_id,date,r,s2\n"
+
+
+def _series_heads(series_list):
+    """Yield each series with its generic_csv ``(lead, keys)`` head for ``_format_rows``.
+
+    The date keys are made once for a run of series that share one dates array.
+    """
+    dates = keys = None
+    for s in series_list:
+        if s.dates is not dates:
+            dates = s.dates
+            keys = [f"{day}," for day in dates.astype(str).tolist()]
+        yield s, (f"{_csv_field(s.index_id)},", keys)
+
+
 def write_generic_csv(series_list: list[DailySeries], fileobj) -> None:
     """Write series in the generic_csv ingestion format (lossless float round trip).
 
     Numbers are written as ``%.17g``; each series is formatted as one block
-    and passed to one ``write`` call.
+    by ``_format_rows``, the row formatter that ``simulate.export_daily_csv``
+    shares, and passed to one ``write`` call.
     """
-    fileobj.write("index_id,date,r,s2\n")
-    for s in series_list:
-        cells = [None] * (3 * len(s))
-        cells[0::3] = s.dates.astype(str).tolist()
-        cells[1::3] = s.r.tolist()
-        cells[2::3] = s.s2.tolist()
-        row = f"{_csv_field(s.index_id).replace('%', '%%')},%s,%.17g,%.17g\n"
-        fileobj.write((row * len(s)) % tuple(cells))
+    fileobj.write(_GENERIC_HEADER)
+    for s, head in _series_heads(series_list):
+        fileobj.write(_format_rows(s.r, s.s2, head)[0])

@@ -39,12 +39,21 @@ most ``_CHUNK_PATHS`` = 512 (1000 paths as 500 + 500), of whole pairs under
 day-start sums behind ``v_day_mean`` and ``v_day_se`` add the paths one by
 one in index order, so no output depends on the chunking.
 
+Per-step work: each step of a block makes five numpy calls across the
+chunk's paths, the intra-block sum, the inter-block term, and the clip,
+root and scaling that turn dB into the kernel source.  The rest runs once
+per block: the r terms sqrt(V+) dW (the root goes into z1's buffer, which is
+free once dB is formed), the s2 terms, their day sums, and the day-start
+sums, one sequential accumulate over the block's day starts (at most 64 at
+a time) that adds each day's paths in index order.
+
 Memory: a chunk holds one step-major (step, path) array, dW until its block
 runs and then the kernel source sqrt(V+) dB, so a 256-step block is a view
 of it; the block's inter-block product, raw states, z1 and dW take four
-(256, path) buffers.  Each path draws its stream once: z0, the first n
-normals, straight into its column of the step array as dW; its generator
-then stays at z1, and each block draws its z1 when it runs.  Each chunk adds
+(256, path) buffers, and the day-start sums two of at most 64 rows.  Each
+path draws its stream once: z0, the first n normals, straight into its
+column of the step array as dW; its generator then stays at z1, and each
+block draws its z1 when it runs.  Each chunk adds
 its day sums into its columns of the day-major outputs.  The n_steps x 256
 weight table is shared by all chunks.  The budget counts two step-grid
 arrays per path, so at 15120 steps it binds only below ~148 MiB, its count
@@ -68,6 +77,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import empirical as emp
 from .errors import ContractError, MemoryGuardError, SimulationError
 from .model import TRADING_DAY, ForwardVarianceCurve, ModelParams
 from .special import ml_cdf_grid
@@ -86,6 +96,7 @@ __all__ = [
 _BLOCK_STEPS = 256  # convolution block length; the paths depend on it (summation order)
 _CHUNK_PATHS = 512  # most paths in one chunk
 _PRODUCT_ROWS = 8  # fewest paths in a block product; BLAS sums fewer in another order
+_DAY_ROWS = 64  # most day starts summed at once, which bounds that scratch
 
 
 @dataclass(frozen=True)
@@ -230,6 +241,34 @@ def _add_by_day(acc, rows, i0, spd):
         acc[(i0 + b) // spd] += rows[b]
 
 
+def _add_day_starts(states, xi, day, antithetic, dev_rows, sq_rows, dev_sum, dev_sumsq):
+    """Add the day-start states (one row a day from ``day`` on) to the days' sums.
+
+    The states go in as deviations from xi0, so the sums stay exact where
+    the paths agree (nu = 0) instead of cancelling; the squares are those of
+    the SE's units, paths or pair means.  One sequential accumulate per
+    array adds each day's terms to its running sum path by path, in index
+    order, so the sums do not depend on the chunking.
+    """
+    k = states.shape[0]
+    days = slice(day, day + k)
+    dev, sq = dev_rows[:k], sq_rows[:k]
+    np.subtract(states, xi[:k, None], out=dev[:, 1:])
+    if antithetic:
+        unit = sq[:, 1:]
+        np.add(dev[:, 1::2], dev[:, 2::2], out=unit)
+        unit *= 0.5
+    else:
+        unit = dev[:, 1:]
+    np.multiply(unit, unit, out=sq[:, 1:])
+    dev[:, 0] = dev_sum[days]
+    sq[:, 0] = dev_sumsq[days]
+    np.add.accumulate(dev, axis=1, out=dev)
+    np.add.accumulate(sq, axis=1, out=sq)
+    dev_sum[days] = dev[:, -1]
+    dev_sumsq[days] = sq[:, -1]
+
+
 def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
                     dev_sum, dev_sumsq):
     n = config.n_steps()
@@ -267,6 +306,11 @@ def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
     z_blk = np.empty((n_chunk, _BLOCK_STEPS))
     d_w_blk = np.empty((_BLOCK_STEPS, n_chunk))
     sqrt_v = np.empty(n_chunk)
+    # day-start sums: column 0 carries the day's running sum, the rest its
+    # deviations (or squared SE units), one row per day start
+    n_starts = min(-(-_BLOCK_STEPS // spd), _DAY_ROWS)
+    dev_rows = np.empty((n_starts, n_chunk + 1))
+    sq_rows = np.empty((n_starts, (n_chunk // 2 if config.antithetic else n_chunk) + 1))
     r_out = day_r[:, lo:hi]
     s2_out = day_s2[:, lo:hi]
     neg = 0
@@ -311,30 +355,23 @@ def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
                 np.maximum(v, 0.0, out=sqrt_v)
                 np.sqrt(sqrt_v, out=sqrt_v)
                 x[b] *= sqrt_v
-                d_w[b] *= sqrt_v  # the r terms sqrt(V+) dW
             if not np.all(np.isfinite(x)):
                 bad = np.argwhere(~np.isfinite(x))[0]
                 raise SimulationError(
                     f"non-finite variance state at path {lo + int(bad[1])}, "
                     f"step {i0 + int(bad[0])}")
 
-            # day-start states as deviations from xi0: the sums stay exact
-            # where the paths agree (nu = 0) instead of cancelling.  Each
-            # day's sums go on from the earlier chunks' path by path, in
-            # index order, so they do not depend on the chunking.  The
-            # squares are those of the SE's units: paths, or pair means.
-            for b in range(-i0 % spd, width, spd):
-                dev = v_all[b] - xi_step[i0 + b]
-                unit = 0.5 * (dev[0::2] + dev[1::2]) if config.antithetic else dev
-                sq = unit * unit
-                day = (i0 + b) // spd
-                dev[0] += dev_sum[day]
-                sq[0] += dev_sumsq[day]
-                dev_sum[day] = np.add.accumulate(dev)[-1]
-                dev_sumsq[day] = np.add.accumulate(sq)[-1]
+            for b0 in range(-i0 % spd, width, spd * _DAY_ROWS):
+                _add_day_starts(v_all[b0::spd][:_DAY_ROWS], xi_step[i0 + b0:hi_blk:spd],
+                                (i0 + b0) // spd, config.antithetic,
+                                dev_rows, sq_rows, dev_sum, dev_sumsq)
             neg += int(np.count_nonzero(v_all < 0.0))
-            _add_by_day(r_out, d_w, i0, spd)
             np.maximum(v_all, 0.0, out=v_all)
+            # the r terms sqrt(V+) dW; the root goes into z1's buffer, free
+            # once dB is formed, laid out (step, path) like v_all
+            root = np.sqrt(v_all, out=z_blk.reshape(-1)[:v_all.size].reshape(v_all.shape))
+            d_w *= root
+            _add_by_day(r_out, d_w, i0, spd)
             v_all *= dt  # the s2 terms V+ dt
             _add_by_day(s2_out, v_all, i0, spd)
     return neg
@@ -452,17 +489,25 @@ def estimate_moments_mc(batch: PathBatch, t_day: int) -> MomentEstimates:
                            fourth_moment_r=r4, fourth_moment_r_se=r4_se)
 
 
-def export_daily_csv(batch: PathBatch, fileobj) -> None:
+def export_daily_csv(batch: PathBatch, fileobj, series_fileobj=None) -> None:
     """Dump daily aggregates as CSV rows (path_id, day, r, sigma2).
 
     Numbers are written as ``%.17g``; each path is formatted as one block
-    and passed to one ``write`` call.
+    and passed to one ``write`` call.  With ``series_fileobj``, the same pass
+    also writes the paths there as ``empirical.write_generic_csv`` writes
+    ``empirical.series_from_batch(batch)``: each path's numbers are
+    formatted once for both files (``empirical._format_rows``), and each
+    file gets the path's block before the next path is formatted.
     """
-    fileobj.write("path_id,day,r,sigma2\n")
     n_paths, n_days = batch.r.shape
-    cells = [None] * (3 * n_days)
-    cells[0::3] = range(1, n_days + 1)
-    for pid in range(n_paths):
-        cells[1::3] = batch.r[pid].tolist()
-        cells[2::3] = batch.s2[pid].tolist()
-        fileobj.write((f"{pid},%d,%.17g,%.17g\n" * n_days) % tuple(cells))
+    days = [f"{day}," for day in range(1, n_days + 1)]
+    fileobj.write("path_id,day,r,sigma2\n")
+    if series_fileobj is None:
+        for pid in range(n_paths):
+            fileobj.write(emp._format_rows(batch.r[pid], batch.s2[pid], (f"{pid},", days))[0])
+        return
+    series_fileobj.write(emp._GENERIC_HEADER)
+    for pid, (s, head) in enumerate(emp._series_heads(emp.series_from_batch(batch))):
+        dump, generic = emp._format_rows(s.r, s.s2, (f"{pid},", days), head)
+        fileobj.write(dump)
+        series_fileobj.write(generic)

@@ -166,6 +166,64 @@ class TestSimulateCommand:
         assert not dump.exists()
         assert not list(dump.parent.glob("*.tmp"))
 
+    def _small_batch(self):
+        params = mdl.ModelParams(hurst=0.05, lam=0.3, nu=0.45, rho=-0.7)
+        config = sim.SimConfig(n_paths=300, steps_per_day=3, n_days=30, seed=11)
+        return sim.simulate_paths(params, mdl.ForwardVarianceCurve.flat(0.025), config)
+
+    def test_joint_dump_and_export_match_library_writers(self, tmp_path):
+        dump, synth = tmp_path / "paths.csv", tmp_path / "synth.csv"
+        assert run(tmp_path, [*SIM_SMALL, "--dump-paths", str(dump),
+                              "--export-empirical", str(synth)]) == 0
+        batch = self._small_batch()
+        want_dump, want_synth = io.StringIO(), io.StringIO()
+        sim.export_daily_csv(batch, want_dump)
+        emp.write_generic_csv(emp.series_from_batch(batch), want_synth)
+        assert dump.read_bytes() == want_dump.getvalue().encode()
+        assert synth.read_bytes() == want_synth.getvalue().encode()
+
+    @pytest.mark.parametrize("full", ["dump", "synth"])
+    def test_joint_failure_leaves_neither_file(self, tmp_path, monkeypatch, full):
+        # the joint pass runs until one file reports a full disk on its
+        # fourth write, after both have taken data
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 3:
+                    raise OSError("disk full")
+                return self.fh.write(text)
+
+        joint = sim.export_daily_csv
+
+        def failing(batch, fileobj, series_fileobj):
+            if full == "dump":
+                fileobj = FullDisk(fileobj)
+            else:
+                series_fileobj = FullDisk(series_fileobj)
+            joint(batch, fileobj, series_fileobj)
+
+        monkeypatch.setattr(sim, "export_daily_csv", failing)
+        dump, synth = tmp_path / "dump" / "paths.csv", tmp_path / "synth" / "synth.csv"
+        assert run(tmp_path, [*SIM_SMALL, "--dump-paths", str(dump),
+                              "--export-empirical", str(synth)]) == 2
+        for path in (dump, synth):
+            assert not path.exists()
+            assert not list(path.parent.glob("*.tmp"))
+
+    def test_joint_rename_failure_leaves_neither_file(self, tmp_path):
+        # the dump is renamed into place first; the series cannot replace a
+        # directory, so the dump is removed again
+        dump, synth = tmp_path / "paths.csv", tmp_path / "synth.csv"
+        synth.mkdir()
+        assert run(tmp_path, [*SIM_SMALL, "--dump-paths", str(dump),
+                              "--export-empirical", str(synth)]) == 2
+        assert not dump.exists()
+        assert list(synth.iterdir()) == []
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_horizon_guard(self, tmp_path, monkeypatch):
         # checked before the run: a simulation that starts fails the test
         def no_run(*args, **kw):

@@ -17,6 +17,7 @@ import math
 import numpy as np
 import pytest
 
+from zlab.empirical import series_from_batch, write_generic_csv
 from zlab.errors import ContractError, MemoryGuardError, SimulationError
 from zlab.model import (TRADING_DAY, ForwardVarianceCurve, ModelParams,
                         var_sigma2, zumbach_cov)
@@ -380,6 +381,38 @@ def sequential_engine(params, curve, cfg):
     the engine's inter-block matrix product (all paths, the table's full
     width) and a plain per-step loop for the intra-block sum, each path's
     earlier steps added in order."""
+    r, s2, neg, _ = _sequential_run(params, curve, cfg)
+    return r, s2, neg
+
+
+def sequential_day_start_stats(params, curve, cfg):
+    """v_day_mean and v_day_se from ``sequential_engine``'s day-start states.
+
+    Each day adds the deviations V - xi0 of the paths, and the squares of
+    the SE's units (paths, or pair means under antithetic), one by one in
+    path index order as Python floats.
+    """
+    *_, starts = _sequential_run(params, curve, cfg)
+    xi = np.asarray(curve(cfg.dt() * np.arange(cfg.n_steps())))[::cfg.steps_per_day]
+    dev = starts - xi
+    units = 0.5 * (dev[0::2] + dev[1::2]) if cfg.antithetic else dev
+    n_units = units.shape[0]
+    mean = np.empty(cfg.n_days)
+    se = np.empty(cfg.n_days)
+    for day in range(cfg.n_days):
+        total = total_sq = 0.0
+        for x in dev[:, day].tolist():
+            total += x
+        for u in units[:, day].tolist():
+            total_sq += u * u
+        dev_mean = total / cfg.n_paths
+        mean[day] = xi[day] + dev_mean
+        se[day] = math.sqrt(max(total_sq / n_units - dev_mean * dev_mean, 0.0) / n_units)
+    return mean, se
+
+
+def _sequential_run(params, curve, cfg):
+    """``sequential_engine``'s outputs and the raw state of each path at each day start."""
     from zlab.simulate import _BLOCK_STEPS
 
     n, dt, spd = cfg.n_steps(), cfg.dt(), cfg.steps_per_day
@@ -392,6 +425,7 @@ def sequential_engine(params, curve, cfg):
     xi = curve(dt * np.arange(n))
     r = np.zeros((cfg.n_paths, cfg.n_days))
     s2 = np.zeros((cfg.n_paths, cfg.n_days))
+    starts = np.empty((cfg.n_paths, cfg.n_days))
     neg = 0
     z = np.array([_path_normals(cfg, p, n) for p in range(cfg.n_paths)])
     d_w = z[:, 0] * sqrt_dt
@@ -407,12 +441,14 @@ def sequential_engine(params, curve, cfg):
             for k in range(b):
                 acc = acc + source[:, i0 + k] * w[b - k]
             v = past[:, b] + acc
+            if i % spd == 0:
+                starts[:, i // spd] = v
             neg += int(np.count_nonzero(v < 0.0))
             v_pos = np.maximum(v, 0.0)
             r[:, i // spd] += np.sqrt(v_pos) * d_w[:, i]
             s2[:, i // spd] += v_pos * dt
             source[:, i] *= np.sqrt(v_pos)
-    return r, s2, neg
+    return r, s2, neg, starts
 
 
 class TestSummationOrder:
@@ -443,6 +479,23 @@ class TestSummationOrder:
         assert np.array_equal(batch.r, r)
         assert np.array_equal(batch.s2, s2)
         assert batch.neg_fraction == neg / (cfg.n_paths * cfg.n_steps())
+
+    @pytest.mark.parametrize("antithetic, n_paths, chunk", [(False, 187, 93), (True, 186, 92)],
+                             ids=["plain", "antithetic"])
+    def test_day_start_sums_match_sequential_reference(self, antithetic, n_paths, chunk):
+        # 560 steps in three blocks, 7 a day, so days 36 and 73 straddle the
+        # block edges; 1 MB splits the paths into chunks of 93 (92 whole
+        # pairs), and the curve makes every day's xi0 different
+        curve = ForwardVarianceCurve.piecewise_linear([0.0, 0.1, 0.2, 0.4],
+                                                      [0.02, 0.03, 0.015, 0.025])
+        cfg = SimConfig(n_paths=n_paths, steps_per_day=7, n_days=80, seed=17,
+                        antithetic=antithetic, memory_budget_mb=1)
+        assert cfg.chunk_paths() == chunk
+        batch = simulate_paths(SEC4, curve, cfg)
+        mean, se = sequential_day_start_stats(SEC4, curve, cfg)
+        assert batch.neg_fraction > 0.0
+        assert np.array_equal(batch.v_day_mean, mean)
+        assert np.array_equal(batch.v_day_se, se)
 
 
 class TestStatisticalProperties:
@@ -617,6 +670,17 @@ class TestEstimators:
         assert np.all(twins.v_day_se[1:] < 1e-2 * plain.v_day_se[1:])
 
 
+def _export_batches():
+    """A simulated batch, and a copy holding signed zeros, extremes, inf and NaN."""
+    batch = simulate_paths(SEC4, FLAT, SimConfig(n_paths=12, steps_per_day=2, n_days=9, seed=5))
+    r, s2 = batch.r.copy(), batch.s2.copy()
+    r[0, :6] = [0.0, -0.0, 1e-300, 5e-324, -1.7976931348623157e308, 0.1]
+    s2[1, :3] = [np.inf, np.nan, 1e22]
+    odd = PathBatch(r=r, s2=s2, config=batch.config,
+                    weight_checksum=batch.weight_checksum, neg_fraction=0.0)
+    return batch, odd
+
+
 class TestDiagnostics:
     def test_non_finite_aborts(self):
         p = ModelParams(hurst=0.05, lam=0.3, nu=1e250, rho=-0.7)
@@ -645,14 +709,20 @@ class TestDiagnostics:
                 for day in range(n_days):
                     fileobj.write(f"{pid},{day + 1},{rp[day]:.17g},{sp[day]:.17g}\n")
 
-        batch = simulate_paths(SEC4, FLAT, SimConfig(n_paths=12, steps_per_day=2, n_days=9, seed=5))
-        r, s2 = batch.r.copy(), batch.s2.copy()
-        r[0, :6] = [0.0, -0.0, 1e-300, 5e-324, -1.7976931348623157e308, 0.1]
-        s2[1, :3] = [np.inf, np.nan, 1e22]
-        odd = PathBatch(r=r, s2=s2, config=batch.config,
-                        weight_checksum=batch.weight_checksum, neg_fraction=0.0)
-        for b in (batch, odd):
+        for b in _export_batches():
             got, want = io.StringIO(), io.StringIO()
             export_daily_csv(b, got)
             per_row(b, want)
             assert got.getvalue() == want.getvalue()
+
+    def test_export_with_series_matches_both_writers(self):
+        # one pass writes the dump and the generic_csv series of the same
+        # paths, each byte for byte as its own writer does
+        for b in _export_batches():
+            dump, series = io.StringIO(), io.StringIO()
+            export_daily_csv(b, dump, series)
+            want_dump, want_series = io.StringIO(), io.StringIO()
+            export_daily_csv(b, want_dump)
+            write_generic_csv(series_from_batch(b), want_series)
+            assert dump.getvalue() == want_dump.getvalue()
+            assert series.getvalue() == want_series.getvalue()
