@@ -38,7 +38,6 @@ import math
 import os
 import sys
 import tempfile
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -158,9 +157,6 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--steps-per-day", type=int, default=20)
     p_sim.add_argument("--days", type=int, default=504, help="simulated horizon in days")
     p_sim.add_argument("--seed", type=int, default=0, help="RNG seed (64-bit)")
-    p_sim.add_argument("--antithetic", action="store_true",
-                       help="pair each path with a twin of negated normals; standard "
-                            "errors are then taken over the pair means")
     p_sim.add_argument("--t-day", type=int, default=None,
                        help="estimation day (1-based); default mid-horizon")
     p_sim.add_argument("--k-max", type=int, default=10, help="largest lag in days")
@@ -382,8 +378,7 @@ def cmd_simulate(args) -> int:
     params, curve = _model_inputs(args)
     config = sim.SimConfig(
         n_paths=args.paths, steps_per_day=args.steps_per_day, n_days=args.days,
-        delta=args.delta, seed=args.seed, antithetic=args.antithetic,
-        memory_budget_mb=args.memory_budget_mb)
+        delta=args.delta, seed=args.seed, memory_budget_mb=args.memory_budget_mb)
     ks = _lags(args)
     t_day = args.t_day if args.t_day is not None else max(1, args.days // 2)
     if t_day < 1:
@@ -411,13 +406,13 @@ def cmd_simulate(args) -> int:
     # the JSON keeps one [estimate, std_error] pair per quantity
     _emit(args, "moments_mc", mom, payload={q: [est, se] for q, est, se in zip(*mom.values())})
 
-    # both files come from one formatting pass, and appear together or not at all
-    if args.dump_paths:
-        _write_atomic([Path(name) for name in (args.dump_paths, args.export_empirical) if name],
-                      partial(sim.export_daily_csv, batch))
-    elif args.export_empirical:
-        _write_atomic([Path(args.export_empirical)],
-                      partial(emp.write_generic_csv, emp.series_from_batch(batch)))
+    # the path files come from one formatting pass, and appear together or not at all
+    targets = {key: Path(name) for key, name in (("fileobj", args.dump_paths),
+                                                  ("series_fileobj", args.export_empirical))
+               if name}
+    if targets:
+        _write_atomic(list(targets.values()),
+                      lambda *fhs: sim.export_daily_csv(batch, **dict(zip(targets, fhs))))
 
     print(f"t_day={t_day}  neg_fraction={batch.neg_fraction:.3f}")
     print(f"{'k':>3} {'estimate':>14} {'std_error':>14}")

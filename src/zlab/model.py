@@ -169,12 +169,6 @@ class ForwardVarianceCurve:
     def is_flat(self) -> bool:
         return self._times.size == 1
 
-    @property
-    def level(self) -> float:
-        if not self.is_flat:
-            raise ContractError("level is only defined for flat curves")
-        return float(self._values[0])
-
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr < 0.0):

@@ -26,18 +26,16 @@ part runs as matrix products over path chunks; the weight table is a plain
 array so an FFT or multi-factor Markovian engine can replace the summation
 later without touching the interface.
 
-Every path owns an RNG stream derived from (seed, path index); with
-``antithetic`` enabled, paths 2i and 2i+1 share stream i with negated
-normals, and every standard error, ``v_day_se`` included, is taken over the
-pair means.
+Every path owns an RNG stream derived from (seed, path index), and every
+standard error, ``v_day_se`` included, is taken over the paths.
 A path's bits depend on the seed, its index, the grid, the parameters and
 the numpy/BLAS build (measured on numpy 2.4.6 with OpenBLAS 0.3.31,
 SkylakeX core), and not on the chunking or the memory budget.
 Paths run one chunk after another, in path order, in near-equal chunks of at
-most ``_CHUNK_PATHS`` = 512 (1000 paths as 500 + 500), of whole pairs under
-``antithetic``; a smaller ``memory_budget_mb`` can shrink them.  The
-day-start sums behind ``v_day_mean`` and ``v_day_se`` add the paths one by
-one in index order, so no output depends on the chunking.
+most ``_CHUNK_PATHS`` = 512 (1000 paths as 500 + 500); a smaller
+``memory_budget_mb`` can shrink them.  The day-start sums behind
+``v_day_mean`` and ``v_day_se`` add the paths one by one in index order, so
+no output depends on the chunking.
 
 Per-step work: each step of a block makes five numpy calls across the
 chunk's paths, the intra-block sum, the inter-block term, and the clip,
@@ -105,10 +103,10 @@ class SimConfig:
 
     delta is the day length in years; the step grid has
     n_days * steps_per_day points.  Paths run in near-equal chunks of at
-    most 512 (``chunk_paths``), of whole pairs under antithetic.  The memory
-    budget is an upper bound on top: it counts two step-grid arrays per
-    path, although a chunk holds one plus a few (256, path) block buffers,
-    so it binds only below ~148 MiB at 15120 steps.  Neither changes any
+    most 512 (``chunk_paths``).  The memory budget is an upper bound on top:
+    it counts two step-grid arrays per path, although a chunk holds one plus
+    a few (256, path) block buffers, so it binds only below ~148 MiB at
+    15120 steps.  Neither changes any
     output.  The convolution's weight table, n_steps x 256 float64 values
     shared by all chunks, sits outside the budget.
     """
@@ -118,24 +116,19 @@ class SimConfig:
     n_days: int
     delta: float = TRADING_DAY
     seed: int = 0
-    antithetic: bool = False
     memory_budget_mb: int = 1024
 
     def __post_init__(self) -> None:
         for name in ("n_paths", "steps_per_day", "n_days"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.delta <= 0.0:
-            raise ContractError(f"delta must be positive, got {self.delta}")
+        if not (math.isfinite(self.delta) and self.delta > 0.0):
+            raise ContractError(f"delta must be finite and positive, got {self.delta}")
         if self.seed < 0 or self.seed > 2**64 - 1:
             raise ContractError("seed must fit in an unsigned 64-bit integer")
-        if self.antithetic and self.n_paths % 2:
-            raise ContractError("antithetic sampling needs an even n_paths")
         if self.chunk_paths() < 1:
-            unit = "pair of paths" if self.antithetic else "path"
             raise MemoryGuardError(
-                f"a single {unit} is counted at "
-                f"{self.n_steps() * 2 * 8 * (1 + self.antithetic) / 2**20:.0f} MiB "
+                f"a single path is counted at {self.n_steps() * 2 * 8 / 2**20:.0f} MiB "
                 f"(two step-grid arrays; the engine holds one plus per-block "
                 f"scratch), over the {self.memory_budget_mb} MiB budget")
 
@@ -148,13 +141,10 @@ class SimConfig:
     def chunk_paths(self) -> int:
         # the budget counts two (n_steps, chunk) float64 arrays per path
         # although the engine holds one, and stays an upper bound under the
-        # cap; the cap splits the paths into near-equal chunks.  Chunks hold
-        # whole antithetic pairs, whose means each chunk reduces.
-        unit = 2 if self.antithetic else 1
-        budget = int(self.memory_budget_mb * 2**20 * 0.8) // (self.n_steps() * 2 * 8 * unit)
-        n_units = self.n_paths // unit
-        n_chunks = -(-n_units // (_CHUNK_PATHS // unit))
-        return unit * min(budget, -(-n_units // n_chunks))
+        # cap; the cap splits the paths into near-equal chunks
+        budget = int(self.memory_budget_mb * 2**20 * 0.8) // (self.n_steps() * 2 * 8)
+        n_chunks = -(-self.n_paths // _CHUNK_PATHS)
+        return min(budget, -(-self.n_paths // n_chunks))
 
 
 @dataclass(frozen=True)
@@ -165,8 +155,7 @@ class PathBatch:
                       integrated variances (s2 >= 0 by the truncation scheme),
                       transposed views of day-major (n_days, n_paths) arrays.
     v_day_mean/_se  : cross-path mean of the raw (untruncated) variance state
-                      at each day start, with its standard error (over
-                      the pair means under antithetic).
+                      at each day start, with its standard error.
     neg_fraction    : fraction of steps where the recursion went negative
                       before truncation (diagnostic).
     weight_checksum : CRC-32 of the kernel weight table used.
@@ -205,20 +194,15 @@ def precompute_kernel_weights(params: ModelParams, config: SimConfig) -> np.ndar
     return w
 
 
-def _path_stream(config: SimConfig, path_index: int):
-    """Seed of the path's RNG stream, and whether the path negates its normals."""
-    if config.antithetic:
-        stream, flip = divmod(path_index, 2)
-    else:
-        stream, flip = path_index, 0
-    return np.random.SeedSequence(entropy=config.seed, spawn_key=(stream,)), bool(flip)
+def _path_rng(config: SimConfig, path_index: int) -> np.random.Generator:
+    """The generator of the path's RNG stream."""
+    ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(path_index,))
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 def _path_normals(config: SimConfig, path_index: int, n: int) -> np.ndarray:
     """The path's normals (z0, z1) as one (2, n) array, as the engine draws them in pieces."""
-    ss, flip = _path_stream(config, path_index)
-    z = np.random.Generator(np.random.PCG64(ss)).standard_normal((2, n))
-    return -z if flip else z
+    return _path_rng(config, path_index).standard_normal((2, n))
 
 
 def _add_by_day(acc, rows, i0, spd):
@@ -241,26 +225,19 @@ def _add_by_day(acc, rows, i0, spd):
         acc[(i0 + b) // spd] += rows[b]
 
 
-def _add_day_starts(states, xi, day, antithetic, dev_rows, sq_rows, dev_sum, dev_sumsq):
+def _add_day_starts(states, xi, day, dev_rows, sq_rows, dev_sum, dev_sumsq):
     """Add the day-start states (one row a day from ``day`` on) to the days' sums.
 
     The states go in as deviations from xi0, so the sums stay exact where
-    the paths agree (nu = 0) instead of cancelling; the squares are those of
-    the SE's units, paths or pair means.  One sequential accumulate per
-    array adds each day's terms to its running sum path by path, in index
-    order, so the sums do not depend on the chunking.
+    the paths agree (nu = 0) instead of cancelling.  One sequential
+    accumulate per array adds each day's terms to its running sum path by
+    path, in index order, so the sums do not depend on the chunking.
     """
     k = states.shape[0]
     days = slice(day, day + k)
     dev, sq = dev_rows[:k], sq_rows[:k]
     np.subtract(states, xi[:k, None], out=dev[:, 1:])
-    if antithetic:
-        unit = sq[:, 1:]
-        np.add(dev[:, 1::2], dev[:, 2::2], out=unit)
-        unit *= 0.5
-    else:
-        unit = dev[:, 1:]
-    np.multiply(unit, unit, out=sq[:, 1:])
+    np.multiply(dev[:, 1:], dev[:, 1:], out=sq[:, 1:])
     dev[:, 0] = dev_sum[days]
     sq[:, 0] = dev_sumsq[days]
     np.add.accumulate(dev, axis=1, out=dev)
@@ -286,20 +263,16 @@ def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
     src = np.zeros((n, max(n_chunk, _PRODUCT_ROWS)))
     x_or_dw = src[:, :n_chunk]  # dW until its block runs, then the kernel source
 
-    # the step array takes dW = +-sqrt(dt) z0, the first n normals of the
+    # the step array takes dW = sqrt(dt) z0, the first n normals of the
     # path's stream; each path keeps its generator, now at z1, and every
-    # block draws its z1 when it runs.  Negation is exact, so the antithetic
-    # twin keeps its bits.
+    # block draws its z1 when it runs
     rngs = []
-    perp_scale = np.empty((n_chunk, 1))
     z0 = np.empty(n)
     for c in range(n_chunk):
-        ss, flip = _path_stream(config, lo + c)
-        rng = np.random.Generator(np.random.PCG64(ss))
+        rng = _path_rng(config, lo + c)
         rng.standard_normal(out=z0)
-        np.multiply(z0, -sqrt_dt if flip else sqrt_dt, out=x_or_dw[:, c])
+        np.multiply(z0, sqrt_dt, out=x_or_dw[:, c])
         rngs.append(rng)
-        perp_scale[c] = -(rho_perp * sqrt_dt) if flip else rho_perp * sqrt_dt
 
     prod = np.empty((src.shape[1], _BLOCK_STEPS))  # (path, step) as BLAS writes it
     v_blk = np.empty((_BLOCK_STEPS, n_chunk))
@@ -307,10 +280,10 @@ def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
     d_w_blk = np.empty((_BLOCK_STEPS, n_chunk))
     sqrt_v = np.empty(n_chunk)
     # day-start sums: column 0 carries the day's running sum, the rest its
-    # deviations (or squared SE units), one row per day start
+    # deviations (or their squares), one row per day start
     n_starts = min(-(-_BLOCK_STEPS // spd), _DAY_ROWS)
     dev_rows = np.empty((n_starts, n_chunk + 1))
-    sq_rows = np.empty((n_starts, (n_chunk // 2 if config.antithetic else n_chunk) + 1))
+    sq_rows = np.empty((n_starts, n_chunk + 1))
     r_out = day_r[:, lo:hi]
     s2_out = day_s2[:, lo:hi]
     neg = 0
@@ -338,7 +311,7 @@ def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
             z = z_blk[:, :width]
             for rng, row in zip(rngs, z):
                 rng.standard_normal(out=row)
-            z *= perp_scale
+            z *= rho_perp * sqrt_dt
             x += z.T
             # row b of v_all is the raw state V_{i0+b}, past[b] plus the
             # intra-block sum; the einsum sums each path's earlier steps in
@@ -363,8 +336,7 @@ def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
 
             for b0 in range(-i0 % spd, width, spd * _DAY_ROWS):
                 _add_day_starts(v_all[b0::spd][:_DAY_ROWS], xi_step[i0 + b0:hi_blk:spd],
-                                (i0 + b0) // spd, config.antithetic,
-                                dev_rows, sq_rows, dev_sum, dev_sumsq)
+                                (i0 + b0) // spd, dev_rows, sq_rows, dev_sum, dev_sumsq)
             neg += int(np.count_nonzero(v_all < 0.0))
             np.maximum(v_all, 0.0, out=v_all)
             # the r terms sqrt(V+) dW; the root goes into z1's buffer, free
@@ -422,9 +394,8 @@ def simulate_paths(params: ModelParams, curve: ForwardVarianceCurve,
 
     dev_mean = dev_sum / npaths
     v_mean = xi_step[::config.steps_per_day] + dev_mean
-    n_units = npaths // 2 if config.antithetic else npaths
-    v_var = np.maximum(dev_sumsq / n_units - dev_mean**2, 0.0)
-    v_se = np.sqrt(v_var / n_units)
+    v_var = np.maximum(dev_sumsq / npaths - dev_mean**2, 0.0)
+    v_se = np.sqrt(v_var / npaths)
     return PathBatch(
         r=day_r.T, s2=day_s2.T, config=config,
         weight_checksum=zlib.crc32(w.tobytes()),
@@ -447,15 +418,10 @@ def _check_day(batch: PathBatch, t_day: int, k: int = 0) -> None:
             f"need t_day + k <= n_days, got {t_day} + {k} > {batch.config.n_days}")
 
 
-def _mean_se(batch: PathBatch, x: np.ndarray) -> tuple[float, float]:
-    """Mean of the per-path values x and its standard error.
-
-    Antithetic twins (paths 2i, 2i+1) are not independent, so under
-    ``antithetic`` the SE is taken over the n/2 pair means.
-    """
-    units = x.reshape(-1, 2).mean(axis=1) if batch.config.antithetic else x
-    n = units.size
-    se = float(units.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
+def _mean_se(x: np.ndarray) -> tuple[float, float]:
+    """Mean of the per-path values x and its standard error."""
+    n = x.size
+    se = float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
     return float(x.mean()), se
 
 
@@ -468,7 +434,7 @@ def estimate_zumbach_mc(batch: PathBatch, t_day: int, k: int) -> tuple[float, fl
     expectation-difference form of the asymmetry in population because
     E[r^2] = E[s2] at every day, and it is exactly zero when the variance
     path is deterministic.  The standard error comes from the path-wise
-    deltas (pair means under ``antithetic``) and scales as 1/sqrt(n_paths).
+    deltas and scales as 1/sqrt(n_paths).
     """
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
@@ -477,37 +443,37 @@ def estimate_zumbach_mc(batch: PathBatch, t_day: int, k: int) -> tuple[float, fl
     b = _centered(batch.s2[:, t_day + k - 1])
     c = _centered(batch.r[:, t_day + k - 1] ** 2)
     d = _centered(batch.s2[:, t_day - 1])
-    return _mean_se(batch, a * b - c * d)
+    return _mean_se(a * b - c * d)
 
 
 def estimate_moments_mc(batch: PathBatch, t_day: int) -> MomentEstimates:
     """Sample Var[s2] and E[r^4] at day t_day with standard errors."""
     _check_day(batch, t_day)
-    var_s2, var_s2_se = _mean_se(batch, _centered(batch.s2[:, t_day - 1]) ** 2)
-    r4, r4_se = _mean_se(batch, batch.r[:, t_day - 1] ** 4)
+    var_s2, var_s2_se = _mean_se(_centered(batch.s2[:, t_day - 1]) ** 2)
+    r4, r4_se = _mean_se(batch.r[:, t_day - 1] ** 4)
     return MomentEstimates(var_sigma2=var_s2, var_sigma2_se=var_s2_se,
                            fourth_moment_r=r4, fourth_moment_r_se=r4_se)
 
 
-def export_daily_csv(batch: PathBatch, fileobj, series_fileobj=None) -> None:
-    """Dump daily aggregates as CSV rows (path_id, day, r, sigma2).
+def export_daily_csv(batch: PathBatch, fileobj=None, series_fileobj=None) -> None:
+    """Write the daily aggregates to ``fileobj``, ``series_fileobj`` or both, in one pass.
 
-    Numbers are written as ``%.17g``; each path is formatted as one block
-    and passed to one ``write`` call.  With ``series_fileobj``, the same pass
-    also writes the paths there as ``empirical.write_generic_csv`` writes
-    ``empirical.series_from_batch(batch)``: each path's numbers are
-    formatted once for both files (``empirical._format_rows``), and each
-    file gets the path's block before the next path is formatted.
+    ``fileobj`` gets the dump, CSV rows (path_id, day, r, sigma2);
+    ``series_fileobj`` gets the paths as ``empirical.write_generic_csv``
+    writes ``empirical.series_from_batch(batch)``.  Numbers are written as
+    ``%.17g``; each path's numbers are formatted once for the files given
+    (``empirical._format_rows``), and each file gets the path's block in one
+    ``write`` call before the next path is formatted.
     """
-    n_paths, n_days = batch.r.shape
-    days = [f"{day}," for day in range(1, n_days + 1)]
-    fileobj.write("path_id,day,r,sigma2\n")
-    if series_fileobj is None:
-        for pid in range(n_paths):
-            fileobj.write(emp._format_rows(batch.r[pid], batch.s2[pid], (f"{pid},", days))[0])
-        return
-    series_fileobj.write(emp._GENERIC_HEADER)
-    for pid, (s, head) in enumerate(emp._series_heads(emp.series_from_batch(batch))):
-        dump, generic = emp._format_rows(s.r, s.s2, (f"{pid},", days), head)
-        fileobj.write(dump)
-        series_fileobj.write(generic)
+    days = [f"{day}," for day in range(1, batch.r.shape[1] + 1)]
+    files = [fh for fh in (fileobj, series_fileobj) if fh is not None]
+    if fileobj is not None:
+        fileobj.write("path_id,day,r,sigma2\n")
+    if series_fileobj is not None:
+        series_fileobj.write(emp._GENERIC_HEADER)
+    for pid, (s, generic) in enumerate(emp._series_heads(emp.series_from_batch(batch))):
+        heads = [(f"{pid},", days)] if fileobj is not None else []
+        if series_fileobj is not None:
+            heads.append(generic)
+        for fh, text in zip(files, emp._format_rows(s.r, s.s2, *heads)):
+            fh.write(text)

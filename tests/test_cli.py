@@ -224,6 +224,24 @@ class TestSimulateCommand:
         assert list(synth.iterdir()) == []
         assert not list(tmp_path.glob("*.tmp"))
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_antithetic_is_a_usage_error(self, tmp_path, capsys, via):
+        # paths are the one sampling unit: the option is unknown, and the
+        # run stops before it writes anything
+        out = tmp_path / "out"
+        argv = [*SIM_SMALL, "--output-dir", str(out), "--dump-paths", str(out / "paths.csv")]
+        if via == "flag":
+            argv.append("--antithetic")
+        else:
+            cfg = tmp_path / "run.conf"
+            cfg.write_text("antithetic = true\n")
+            argv = ["--config", str(cfg), *argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "--antithetic" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_horizon_guard(self, tmp_path, monkeypatch):
         # checked before the run: a simulation that starts fails the test
         def no_run(*args, **kw):

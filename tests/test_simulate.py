@@ -39,20 +39,24 @@ class TestConfig:
             SimConfig(n_paths=0, steps_per_day=1, n_days=1)
         with pytest.raises(ContractError):
             SimConfig(n_paths=2, steps_per_day=1, n_days=1, delta=0.0)
-        with pytest.raises(ContractError):
-            SimConfig(n_paths=3, steps_per_day=1, n_days=1, antithetic=True)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_delta_is_rejected(self, delta):
+        # nan <= 0 is false: the check must ask for a finite delta, or the
+        # run fails later inside the kernel weights with a message that
+        # does not name delta
+        with pytest.raises(ContractError, match="delta"):
+            SimConfig(n_paths=2, steps_per_day=1, n_days=1, delta=delta)
 
     def test_chunk_rule(self):
-        # near-equal chunks of at most 512 paths, of whole pairs under
-        # antithetic; a smaller budget count still wins
-        for n_paths, antithetic, budget, chunk in (
-                (1000, False, 1024, 500), (1100, False, 1024, 367),
-                (1100, True, 1024, 368), (512, False, 1024, 512),
-                (100_000, False, 1024, 511), (100_000, True, 1024, 512),
-                (31, False, 1024, 31), (480, False, 1, 218), (480, True, 1, 218)):
+        # near-equal chunks of at most 512 paths; a smaller budget count
+        # still wins
+        for n_paths, budget, chunk in (
+                (1000, 1024, 500), (1100, 1024, 367), (512, 1024, 512),
+                (100_000, 1024, 511), (31, 1024, 31), (480, 1, 218)):
             cfg = SimConfig(n_paths=n_paths, steps_per_day=4, n_days=60,
-                            antithetic=antithetic, memory_budget_mb=budget)
-            assert cfg.chunk_paths() == chunk, (n_paths, antithetic, budget)
+                            memory_budget_mb=budget)
+            assert cfg.chunk_paths() == chunk, (n_paths, budget)
 
     def test_memory_guard(self):
         with pytest.raises(MemoryGuardError):
@@ -188,12 +192,12 @@ class TestReproducibility:
 
     def test_every_output_bitwise_across_chunking(self):
         # 560 steps: three blocks with days across their edges; 1 MB holds
-        # 93 paths, so 200 antithetic paths run as 92, 92 and 16 (whole
-        # pairs), against one chunk of 200 by default.  The day-start sums
-        # too add the paths in index order.
-        base = dict(n_paths=200, steps_per_day=7, n_days=80, seed=21, antithetic=True)
+        # 93 paths, so 200 paths run as 93, 93 and 14, against one chunk of
+        # 200 by default.  The day-start sums too add the paths in index
+        # order.
+        base = dict(n_paths=200, steps_per_day=7, n_days=80, seed=21)
         cfg = SimConfig(**base, memory_budget_mb=1)
-        assert cfg.chunk_paths() == 92
+        assert cfg.chunk_paths() == 93
         a = simulate_paths(SEC4, FLAT, SimConfig(**base))
         b = simulate_paths(SEC4, FLAT, cfg)
         assert a.neg_fraction > 0.0
@@ -208,13 +212,6 @@ class TestReproducibility:
         a = simulate_paths(SEC4, FLAT, base)
         b = simulate_paths(SEC4, FLAT, other)
         assert not np.array_equal(a.r, b.r)
-
-    def test_antithetic_pairs_mirror_at_nu_zero(self):
-        p = ModelParams(hurst=0.05, lam=0.3, nu=0.0, rho=-0.7)
-        cfg = SimConfig(n_paths=8, steps_per_day=4, n_days=6, seed=7, antithetic=True)
-        batch = simulate_paths(p, FLAT, cfg)
-        # deterministic variance: returns of a pair are exact negations
-        np.testing.assert_allclose(batch.r[0::2], -batch.r[1::2], rtol=0, atol=1e-18)
 
 
 def direct_summation(params, curve, cfg):
@@ -388,26 +385,23 @@ def sequential_engine(params, curve, cfg):
 def sequential_day_start_stats(params, curve, cfg):
     """v_day_mean and v_day_se from ``sequential_engine``'s day-start states.
 
-    Each day adds the deviations V - xi0 of the paths, and the squares of
-    the SE's units (paths, or pair means under antithetic), one by one in
-    path index order as Python floats.
+    Each day adds the deviations V - xi0 of the paths and their squares,
+    one by one in path index order as Python floats.
     """
     *_, starts = _sequential_run(params, curve, cfg)
     xi = np.asarray(curve(cfg.dt() * np.arange(cfg.n_steps())))[::cfg.steps_per_day]
     dev = starts - xi
-    units = 0.5 * (dev[0::2] + dev[1::2]) if cfg.antithetic else dev
-    n_units = units.shape[0]
+    n = cfg.n_paths
     mean = np.empty(cfg.n_days)
     se = np.empty(cfg.n_days)
     for day in range(cfg.n_days):
         total = total_sq = 0.0
         for x in dev[:, day].tolist():
             total += x
-        for u in units[:, day].tolist():
-            total_sq += u * u
-        dev_mean = total / cfg.n_paths
+            total_sq += x * x
+        dev_mean = total / n
         mean[day] = xi[day] + dev_mean
-        se[day] = math.sqrt(max(total_sq / n_units - dev_mean * dev_mean, 0.0) / n_units)
+        se[day] = math.sqrt(max(total_sq / n - dev_mean * dev_mean, 0.0) / n)
     return mean, se
 
 
@@ -480,17 +474,15 @@ class TestSummationOrder:
         assert np.array_equal(batch.s2, s2)
         assert batch.neg_fraction == neg / (cfg.n_paths * cfg.n_steps())
 
-    @pytest.mark.parametrize("antithetic, n_paths, chunk", [(False, 187, 93), (True, 186, 92)],
-                             ids=["plain", "antithetic"])
-    def test_day_start_sums_match_sequential_reference(self, antithetic, n_paths, chunk):
+    def test_day_start_sums_match_sequential_reference(self):
         # 560 steps in three blocks, 7 a day, so days 36 and 73 straddle the
-        # block edges; 1 MB splits the paths into chunks of 93 (92 whole
-        # pairs), and the curve makes every day's xi0 different
+        # block edges; 1 MB splits the 187 paths into chunks of 93, 93 and
+        # 1, and the curve makes every day's xi0 different
         curve = ForwardVarianceCurve.piecewise_linear([0.0, 0.1, 0.2, 0.4],
                                                       [0.02, 0.03, 0.015, 0.025])
-        cfg = SimConfig(n_paths=n_paths, steps_per_day=7, n_days=80, seed=17,
-                        antithetic=antithetic, memory_budget_mb=1)
-        assert cfg.chunk_paths() == chunk
+        cfg = SimConfig(n_paths=187, steps_per_day=7, n_days=80, seed=17,
+                        memory_budget_mb=1)
+        assert cfg.chunk_paths() == 93
         batch = simulate_paths(SEC4, curve, cfg)
         mean, se = sequential_day_start_stats(SEC4, curve, cfg)
         assert batch.neg_fraction > 0.0
@@ -639,35 +631,6 @@ class TestEstimators:
         d = batch.s2[:, 3]
         direct = (np.mean(a * b) - a.mean() * b.mean()) - (np.mean(c * d) - c.mean() * d.mean())
         assert est == pytest.approx(direct, rel=1e-12)
-
-    def test_antithetic_se_over_pair_means(self):
-        # twins that are exact copies hold no more than one path each: every
-        # SE is that of the n/2 distinct paths, and so is every estimate
-        unique = simulate_paths(SEC4, FLAT, SimConfig(n_paths=50, steps_per_day=2,
-                                                      n_days=10, seed=3))
-        cfg = SimConfig(n_paths=100, steps_per_day=2, n_days=10, seed=3, antithetic=True)
-        twins = PathBatch(r=np.repeat(unique.r, 2, axis=0), s2=np.repeat(unique.s2, 2, axis=0),
-                          config=cfg, weight_checksum=unique.weight_checksum,
-                          neg_fraction=unique.neg_fraction)
-        for k in (1, 2):
-            got, want = estimate_zumbach_mc(twins, 4, k), estimate_zumbach_mc(unique, 4, k)
-            assert got == pytest.approx(want, rel=1e-12), k
-        got, want = estimate_moments_mc(twins, 4), estimate_moments_mc(unique, 4)
-        for name in ("var_sigma2", "var_sigma2_se", "fourth_moment_r", "fourth_moment_r_se"):
-            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12), name
-
-
-    def test_antithetic_v_day_se_over_pair_means(self):
-        # at nu = 1e-3 nothing truncates and each day-start state is odd in
-        # the normals to first order, so a pair's mean cancels it: the SE
-        # over the pair means falls ~1000-fold against that of independent
-        # paths, where one over paths as units reads about the same
-        p = ModelParams(hurst=0.3, lam=0.3, nu=1e-3, rho=-0.7)
-        base = dict(n_paths=200, steps_per_day=4, n_days=40, seed=5)
-        twins = simulate_paths(p, FLAT, SimConfig(**base, antithetic=True))
-        plain = simulate_paths(p, FLAT, SimConfig(**base))
-        assert twins.neg_fraction == 0.0
-        assert np.all(twins.v_day_se[1:] < 1e-2 * plain.v_day_se[1:])
 
 
 def _export_batches():
