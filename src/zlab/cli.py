@@ -166,9 +166,9 @@ def build_parser() -> _Parser:
                        help="write paths as synthetic indices in generic_csv format")
     p_sim.add_argument("--memory-budget-mb", type=int, default=1024,
                        help="step-buffer budget in MiB, an upper bound on the path "
-                            "chunking: paths run in near-equal chunks of at most 512, and "
+                            "chunking: paths run in near-equal chunks of at most 256, and "
                             "the budget counts 16 bytes a step per path, so at 15120 steps "
-                            "it binds only below ~148 MiB; no chunking changes a path "
+                            "it binds only below ~74 MiB; no chunking changes a path "
                             "(default %(default)s)")
     _add_output_flags(p_sim)
 

@@ -32,30 +32,33 @@ A path's bits depend on the seed, its index, the grid, the parameters and
 the numpy/BLAS build (measured on numpy 2.4.6 with OpenBLAS 0.3.31,
 SkylakeX core), and not on the chunking or the memory budget.
 Paths run one chunk after another, in path order, in near-equal chunks of at
-most ``_CHUNK_PATHS`` = 512 (1000 paths as 500 + 500); a smaller
-``memory_budget_mb`` can shrink them.  The day-start sums behind
-``v_day_mean`` and ``v_day_se`` add the paths one by one in index order, so
-no output depends on the chunking.
+most ``_BLOCK_STEPS`` = 256, the weight table's width (1000 paths as four
+chunks of 250); a smaller ``memory_budget_mb`` can shrink them.  The
+day-start sums behind ``v_day_mean`` and ``v_day_se`` add the paths one by
+one in index order, so no output depends on the chunking.
 
-Per-step work: each step of a block makes five numpy calls across the
-chunk's paths, the intra-block sum, the inter-block term, and the clip,
-root and scaling that turn dB into the kernel source.  The rest runs once
-per block: the r terms sqrt(V+) dW (the root goes into z1's buffer, which is
+Per-step work: each block first writes its inter-block terms (the product
+plus xi0) into its rows of the step array, and each step then makes four
+numpy calls across the chunk's paths: one einsum for the intra-block sum
+with the step's inter-block term added last (weight 1), and the clip, root
+and scaling that turn dB into the kernel source.  The rest runs once per
+block: the r terms sqrt(V+) dW (the root goes into z1's buffer, which is
 free once dB is formed), the s2 terms, their day sums, and the day-start
 sums, one sequential accumulate over the block's day starts (at most 64 at
 a time) that adds each day's paths in index order.
 
 Memory: a chunk holds one step-major (step, path) array, dW until its block
-runs and then the kernel source sqrt(V+) dB, so a 256-step block is a view
-of it; the block's inter-block product, raw states, z1 and dW take four
-(256, path) buffers, and the day-start sums two of at most 64 rows.  Each
-path draws its stream once: z0, the first n normals, straight into its
-column of the step array as dW; its generator then stays at z1, and each
-block draws its z1 when it runs.  Each chunk adds
-its day sums into its columns of the day-major outputs.  The n_steps x 256
-weight table is shared by all chunks.  The budget counts two step-grid
-arrays per path, so at 15120 steps it binds only below ~148 MiB, its count
-for 512 paths.
+runs, then the block's inter-block terms, and then the kernel source
+sqrt(V+) dB, so a 256-step block is a view of it; the block's inter-block
+product (then dB), raw states, z1 and dW take four (256, path) buffers, and
+the day-start sums two of at most 64 rows.  Each path draws its stream
+once: z0, the first n normals, straight into its column of the step array
+as dW; its generator then stays at z1, and each block draws its z1 when it
+runs.  Each chunk adds its day sums into its columns of the day-major
+outputs.  The n_steps x 256 weight table is shared by all chunks, and the
+cap keeps a chunk's step array no larger than it.  The budget counts two
+step-grid arrays per path, so at 15120 steps it binds only below ~74 MiB,
+its count for 256 paths.
 
 Summation order: the inter-block part is one BLAS matrix product per block,
 of one shape, all earlier steps of >= _PRODUCT_ROWS paths against the
@@ -63,13 +66,14 @@ table's full 256 columns.  BLAS sums a product with fewer rows or columns
 (its small-matrix kernels) in another order, so a last block narrower than
 256 steps still takes the full table, and a chunk of fewer paths pads the
 product with zero paths.  Within a block each step adds every path's
-earlier steps in step order, products and sums rounded separately.  Both
-orders are part of the paths.
+earlier steps in step order and then its inter-block term, products and
+sums rounded separately.  Both orders are part of the paths.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import zlib
 from dataclasses import dataclass, field
 
@@ -92,7 +96,6 @@ __all__ = [
 ]
 
 _BLOCK_STEPS = 256  # convolution block length; the paths depend on it (summation order)
-_CHUNK_PATHS = 512  # most paths in one chunk
 _PRODUCT_ROWS = 8  # fewest paths in a block product; BLAS sums fewer in another order
 _DAY_ROWS = 64  # most day starts summed at once, which bounds that scratch
 
@@ -102,13 +105,15 @@ class SimConfig:
     """Monte Carlo controls.
 
     delta is the day length in years; the step grid has
-    n_days * steps_per_day points.  Paths run in near-equal chunks of at
-    most 512 (``chunk_paths``).  The memory budget is an upper bound on top:
-    it counts two step-grid arrays per path, although a chunk holds one plus
-    a few (256, path) block buffers, so it binds only below ~148 MiB at
-    15120 steps.  Neither changes any
-    output.  The convolution's weight table, n_steps x 256 float64 values
-    shared by all chunks, sits outside the budget.
+    n_days * steps_per_day points.  n_paths, steps_per_day, n_days and seed
+    are integers, and memory_budget_mb (MiB) is finite.  Paths run in
+    near-equal chunks of at most 256, the weight table's width
+    (``chunk_paths``).  The memory budget is an upper bound on top: it
+    counts two step-grid arrays per path, although a chunk holds one plus a
+    few (256, path) block buffers, so it binds only below ~74 MiB at 15120
+    steps.  Neither changes any output.  The convolution's weight table,
+    n_steps x 256 float64 values shared by all chunks, sits outside the
+    budget.
     """
 
     n_paths: int
@@ -119,6 +124,14 @@ class SimConfig:
     memory_budget_mb: int = 1024
 
     def __post_init__(self) -> None:
+        for name in ("n_paths", "steps_per_day", "n_days", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ContractError(f"{name} must be an integer, got {value!r}")
+        budget = self.memory_budget_mb
+        if (isinstance(budget, bool) or not isinstance(budget, numbers.Real)
+                or not math.isfinite(budget)):
+            raise ContractError(f"memory_budget_mb must be a finite number, got {budget!r}")
         for name in ("n_paths", "steps_per_day", "n_days"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -141,9 +154,10 @@ class SimConfig:
     def chunk_paths(self) -> int:
         # the budget counts two (n_steps, chunk) float64 arrays per path
         # although the engine holds one, and stays an upper bound under the
-        # cap; the cap splits the paths into near-equal chunks
+        # cap; the cap splits the paths into near-equal chunks no wider than
+        # the weight table, so a chunk's step array never outgrows it
         budget = int(self.memory_budget_mb * 2**20 * 0.8) // (self.n_steps() * 2 * 8)
-        n_chunks = -(-self.n_paths // _CHUNK_PATHS)
+        n_chunks = -(-self.n_paths // _BLOCK_STEPS)
         return min(budget, -(-self.n_paths // n_chunks))
 
 
@@ -246,7 +260,7 @@ def _add_day_starts(states, xi, day, dev_rows, sq_rows, dev_sum, dev_sumsq):
     dev_sumsq[days] = sq[:, -1]
 
 
-def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
+def _simulate_chunk(xi_step, w_rev, table, config, params, lo, hi, day_r, day_s2,
                     dev_sum, dev_sumsq):
     n = config.n_steps()
     n_chunk = hi - lo
@@ -259,7 +273,9 @@ def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
     # the step array is step-major, (step, path): the per-step vectors run
     # across paths and a block is a view of it.  The block product takes
     # >= _PRODUCT_ROWS paths, so a smaller chunk pads the array with zero
-    # paths that only the product reads.
+    # paths that only the product reads; the padding also keeps a one-path
+    # chunk's column strided, which a step's einsum sums in order (it hands
+    # a contiguous column to numpy's dot loop, which sums in another order).
     src = np.zeros((n, max(n_chunk, _PRODUCT_ROWS)))
     x_or_dw = src[:, :n_chunk]  # dW until its block runs, then the kernel source
 
@@ -274,7 +290,7 @@ def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
         np.multiply(z0, sqrt_dt, out=x_or_dw[:, c])
         rngs.append(rng)
 
-    prod = np.empty((src.shape[1], _BLOCK_STEPS))  # (path, step) as BLAS writes it
+    prod = np.empty((src.shape[1], _BLOCK_STEPS))  # (path, step) as BLAS writes it, then dB
     v_blk = np.empty((_BLOCK_STEPS, n_chunk))
     z_blk = np.empty((n_chunk, _BLOCK_STEPS))
     d_w_blk = np.empty((_BLOCK_STEPS, n_chunk))
@@ -295,39 +311,38 @@ def _simulate_chunk(xi_step, w, table, config, params, lo, hi, day_r, day_s2,
             hi_blk = min(i0 + _BLOCK_STEPS, n)
             width = hi_blk - i0
             # one product shape for every block: all earlier steps against
-            # the table's full width; past views it (step, path)
+            # the table's full width
             if i0:
                 np.matmul(src[:i0].T, table[n - i0:], out=prod)
             else:
                 prod.fill(0.0)
-            past = prod[:n_chunk, :width].T
-            past += xi_step[i0:hi_blk, None]
             v_all = v_blk[:width]
-            x = x_or_dw[i0:hi_blk]  # the block's dW, then dB, then its source
+            x = x_or_dw[i0:hi_blk]  # the block's dW, then its inter-block terms, then its source
             d_w = d_w_blk[:width]
             d_w[...] = x
-            # dB = rho dW + rho_perp sqrt(dt) z1, formed in place
-            x *= rho
+            # row b of x takes step i0 + b's inter-block term, which the
+            # step's einsum adds last with weight 1
+            np.add(prod[:n_chunk, :width].T, xi_step[i0:hi_blk, None], out=x)
+            # dB = rho dW + rho_perp sqrt(dt) z1, formed in the product's
+            # memory, free now, laid out (step, path)
+            d_b = prod.reshape(-1)[:x.size].reshape(x.shape)
+            np.multiply(d_w, rho, out=d_b)
             z = z_blk[:, :width]
             for rng, row in zip(rngs, z):
                 rng.standard_normal(out=row)
             z *= rho_perp * sqrt_dt
-            x += z.T
-            # row b of v_all is the raw state V_{i0+b}, past[b] plus the
-            # intra-block sum; the einsum sums each path's earlier steps in
-            # order, products and sums rounded separately, as numpy's own
-            # matmul loop does (optimize would hand it to BLAS, which sums in
-            # another order)
+            d_b += z.T
+            # row b of v_all is the raw state V_{i0+b}: the einsum sums each
+            # path's earlier steps of the block in order and then the
+            # inter-block term, products and sums rounded separately, as
+            # numpy's own matmul loop does (optimize would hand it to BLAS,
+            # which sums in another order)
             for b in range(width):
                 v = v_all[b]
-                if b:
-                    np.einsum('kp,k->p', x[:b], w[b:0:-1], out=v)
-                    v += past[b]
-                else:
-                    v[...] = past[b]
+                np.einsum('kp,k->p', x[:b + 1], w_rev[_BLOCK_STEPS - 1 - b:], out=v)
                 np.maximum(v, 0.0, out=sqrt_v)
                 np.sqrt(sqrt_v, out=sqrt_v)
-                x[b] *= sqrt_v
+                np.multiply(d_b[b], sqrt_v, out=x[b])
             if not np.all(np.isfinite(x)):
                 bad = np.argwhere(~np.isfinite(x))[0]
                 raise SimulationError(
@@ -375,6 +390,9 @@ def simulate_paths(params: ModelParams, curve: ForwardVarianceCurve,
     w_pad = np.concatenate([w, np.zeros(_BLOCK_STEPS)])
     table = np.ascontiguousarray(
         np.lib.stride_tricks.sliding_window_view(w_pad, _BLOCK_STEPS)[n:0:-1])
+    # (w_255, ..., w_1, 1), zero-padded past w_n: step b of a block reads
+    # w_rev[255 - b:], its intra-block weights and a 1 for its inter-block term
+    w_rev = np.append(w_pad[_BLOCK_STEPS - 1:0:-1], 1.0)
     xi_step = np.asarray(curve(config.dt() * np.arange(n)), dtype=float)
     if xi_step.ndim == 0:
         xi_step = np.full(n, float(xi_step))
@@ -388,7 +406,7 @@ def simulate_paths(params: ModelParams, curve: ForwardVarianceCurve,
     chunk = config.chunk_paths()
     neg = 0
     for lo in range(0, npaths, chunk):
-        neg += _simulate_chunk(xi_step, w, table, config, params, lo,
+        neg += _simulate_chunk(xi_step, w_rev, table, config, params, lo,
                                min(lo + chunk, npaths), day_r, day_s2,
                                dev_sum, dev_sumsq)
 

@@ -39,6 +39,18 @@ class TestConfig:
             SimConfig(n_paths=0, steps_per_day=1, n_days=1)
         with pytest.raises(ContractError):
             SimConfig(n_paths=2, steps_per_day=1, n_days=1, delta=0.0)
+        # counts and the seed are integers (numpy's too, bool not), and the
+        # budget is finite; each of these used to fail inside the engine
+        base = dict(n_paths=2, steps_per_day=1, n_days=1)
+        for name, value in (("n_paths", 2.5), ("steps_per_day", 2.0), ("seed", 1.5),
+                            ("n_paths", True), ("n_days", np.float64(3.0)),
+                            ("memory_budget_mb", math.nan),
+                            ("memory_budget_mb", math.inf)):
+            with pytest.raises(ContractError, match=name):
+                SimConfig(**{**base, name: value})
+        cfg = SimConfig(n_paths=np.int64(2), steps_per_day=np.int32(1),
+                        n_days=np.uint8(1), seed=np.uint64(2**64 - 1))
+        assert cfg.chunk_paths() == 2
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf])
     def test_non_finite_delta_is_rejected(self, delta):
@@ -49,14 +61,27 @@ class TestConfig:
             SimConfig(n_paths=2, steps_per_day=1, n_days=1, delta=delta)
 
     def test_chunk_rule(self):
-        # near-equal chunks of at most 512 paths; a smaller budget count
-        # still wins
+        # near-equal chunks of at most 256 paths, the weight table's width;
+        # a smaller budget count still wins
         for n_paths, budget, chunk in (
-                (1000, 1024, 500), (1100, 1024, 367), (512, 1024, 512),
-                (100_000, 1024, 511), (31, 1024, 31), (480, 1, 218)):
+                (1000, 1024, 250), (1100, 1024, 220), (512, 1024, 256),
+                (100_000, 1024, 256), (31, 1024, 31), (480, 1, 218)):
             cfg = SimConfig(n_paths=n_paths, steps_per_day=4, n_days=60,
                             memory_budget_mb=budget)
             assert cfg.chunk_paths() == chunk, (n_paths, budget)
+
+    def test_chunks_no_wider_than_the_weight_table(self):
+        from zlab.simulate import _BLOCK_STEPS
+
+        for n_paths in (*range(1, 600), 1000, 1100, 4097, 100_000, 10**6):
+            for budget in (1, 4, 1024):
+                cfg = SimConfig(n_paths=n_paths, steps_per_day=4, n_days=60,
+                                memory_budget_mb=budget)
+                chunk = cfg.chunk_paths()
+                assert 1 <= chunk <= min(n_paths, _BLOCK_STEPS), (n_paths, budget)
+                if budget == 1024:
+                    # near-equal: the fewest chunks of at most 256 paths
+                    assert -(-n_paths // chunk) == -(-n_paths // _BLOCK_STEPS), n_paths
 
     def test_memory_guard(self):
         with pytest.raises(MemoryGuardError):
@@ -142,13 +167,14 @@ class TestReproducibility:
         assert np.array_equal(head.r, b.r[:240]) and np.array_equal(head.s2, b.s2[:240])
 
     def test_bitwise_across_chunk_sizes_on_multi_block_grid(self):
-        # 1200 steps span five convolution blocks.  Budgets of 6, 4, 2 and
-        # 1 MiB give chunks of 262, 174, 87 and 43 paths (and a last chunk
-        # of 76, 78, 78 or 41); the default run takes two chunks of 300
+        # 1200 steps span five convolution blocks.  Budgets of 4, 3, 2 and
+        # 1 MiB give chunks of 174, 131, 87 and 43 paths (and a last chunk
+        # of 78, 76, 78 or 41); the default run takes three chunks of 200
         base = dict(n_paths=600, steps_per_day=20, n_days=60, seed=5)
+        assert SimConfig(**base).chunk_paths() == 200
         ref = simulate_paths(SEC4, FLAT, SimConfig(**base))
         assert ref.neg_fraction > 0.0
-        for budget, chunk in ((6, 262), (4, 174), (2, 87), (1, 43)):
+        for budget, chunk in ((4, 174), (3, 131), (2, 87), (1, 43)):
             cfg = SimConfig(**base, memory_budget_mb=budget)
             assert cfg.chunk_paths() == chunk
             batch = simulate_paths(SEC4, FLAT, cfg)
@@ -157,14 +183,16 @@ class TestReproducibility:
             assert ref.neg_fraction == batch.neg_fraction, budget
 
     def test_capped_chunks_keep_each_path(self):
-        # 1100 paths run as near-equal chunks of 367, 367 and 366; the first
-        # 300 are those of a 300-path run, which takes one chunk
+        # 1100 paths run as five chunks of 220; the first 250 are those of
+        # a 250-path run, which takes one chunk
         cfg = SimConfig(n_paths=1100, steps_per_day=20, n_days=60, seed=5)
+        assert cfg.chunk_paths() == 220
+        head_cfg = SimConfig(n_paths=250, steps_per_day=20, n_days=60, seed=5)
+        assert head_cfg.chunk_paths() == 250
         batch = simulate_paths(SEC4, FLAT, cfg)
-        head = simulate_paths(SEC4, FLAT, SimConfig(n_paths=300, steps_per_day=20,
-                                                    n_days=60, seed=5))
-        assert np.array_equal(head.r, batch.r[:300])
-        assert np.array_equal(head.s2, batch.s2[:300])
+        head = simulate_paths(SEC4, FLAT, head_cfg)
+        assert np.array_equal(head.r, batch.r[:250])
+        assert np.array_equal(head.s2, batch.s2[:250])
 
     def test_tiny_last_chunk_keeps_each_path(self):
         # 528 steps end in a 16-step block; 1 MiB holds 99 paths of them, so
@@ -326,13 +354,14 @@ class TestStepBuffer:
         from zlab.simulate import _BLOCK_STEPS
 
         # the default budget would hold all 1100 paths, but the cap runs
-        # them as chunks of 367, 367 and 366, so the traced peak holds one
-        # such chunk's step array; at 12288 steps the per-block scratch (a
-        # few (256, chunk) buffers) and the chunk's generators stay within
-        # the quarter array
+        # them as five chunks of 220, so the traced peak holds one such
+        # chunk's step array; at 12288 steps the per-block scratch (a few
+        # (256, chunk) buffers) and the chunk's generators stay within the
+        # quarter array
         cfg = SimConfig(n_paths=1100, steps_per_day=128, n_days=96, seed=3)
+        assert cfg.chunk_paths() == 220
         n = cfg.n_steps()
-        step_array = 367 * n * 8
+        step_array = 220 * n * 8
         table = n * _BLOCK_STEPS * 8
         outputs = 2 * cfg.n_paths * cfg.n_days * 8
         tracemalloc.start()
@@ -350,18 +379,18 @@ class TestStepBuffer:
 
         from zlab.simulate import _BLOCK_STEPS
 
-        # chunks of 367 paths over 12288 steps: besides the step array, the
+        # chunks of 220 paths over 12288 steps: besides the step array, the
         # weight table and the outputs, the traced peak may hold eight
         # (256, chunk) float64 buffers' worth of block scratch, generators
         # and weights; a transposed copy of each block and of its inter-block
         # product would take it past that
         cfg = SimConfig(n_paths=1100, steps_per_day=128, n_days=96, seed=3)
-        assert cfg.chunk_paths() == 367
+        assert cfg.chunk_paths() == 220
         n = cfg.n_steps()
-        step_array = 367 * n * 8
+        step_array = 220 * n * 8
         table = n * _BLOCK_STEPS * 8
         outputs = 2 * cfg.n_paths * cfg.n_days * 8
-        block = _BLOCK_STEPS * 367 * 8
+        block = _BLOCK_STEPS * 220 * 8
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -454,11 +483,25 @@ class TestSummationOrder:
         rng = np.random.default_rng(n_paths)
         w = rng.standard_normal(256)
         x = rng.standard_normal((256, n_paths)) * np.exp(3.0 * rng.standard_normal((256, n_paths)))
-        for b in (1, 2, 17, 255):
+        # the engine's form: row b holds the step's inter-block term, which
+        # weight 1 adds after the earlier steps, as acc + term.  The rows
+        # sit in the engine's layout, at least 8 columns wide: a contiguous
+        # one-path column would take numpy's dot loop, which sums in
+        # another order
+        w_rev = np.append(w[255:0:-1], 1.0)  # (w_255, ..., w_1, 1)
+        steps = np.zeros((256, max(n_paths, 8)))
+        for b in (0, 1, 2, 17, 255):
             acc = np.zeros(n_paths)
             for k in range(b):
                 acc = acc + x[k] * w[b - k]
-            assert np.array_equal(np.einsum('kp,k->p', x[:b], w[b:0:-1]), acc), b
+            if b:
+                assert np.array_equal(np.einsum('kp,k->p', x[:b], w[b:0:-1]), acc), b
+            xb = steps[:b + 1, :n_paths]
+            xb[:b] = x[:b]
+            xb[b] = rng.standard_normal(n_paths)
+            out = np.empty(n_paths)
+            np.einsum('kp,k->p', xb, w_rev[255 - b:], out=out)
+            assert np.array_equal(out, acc + xb[b]), b
 
     @pytest.mark.parametrize("budget_mb, chunk", [(1, 93), (2, 187)], ids=["1", "2"])
     def test_engine_matches_sequential_reference_bitwise(self, budget_mb, chunk):
