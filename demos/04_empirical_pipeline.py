@@ -9,7 +9,7 @@ identical pipeline runs via
 
     zlab empirical -i <file> --input-format oxford_csv --tau-max 100
 
-Run:  python3 demos/04_empirical_pipeline.py       (~10 seconds)
+Run:  python3 demos/04_empirical_pipeline.py       (~0.5 seconds)
 """
 
 from zlab.empirical import (cross_index_average, integrated_difference,

@@ -21,7 +21,8 @@ ingestion with --annualize (x252).  Exit codes: 1 usage, 2 parse/IO,
 into a temp file beside it that is renamed on success, so failures leave no
 partial outputs; it gets mode 0o666 less the umask, as ``open`` would give it.
 The path dump and the synthetic panel of ``zlab simulate`` come from one
-formatting pass and appear together or not at all.
+formatting pass and appear together or not at all; without them the run
+keeps only the days its estimates read, t_day..t_day + k_max.
 Every curve and estimate file is one table from ``_emit``: CSV has an optional
 ``# key=value`` line, the header, then rows of ints, strings and ``%.12g``
 floats (NaN empty); JSON the same keys and columns, non-finite numbers null.
@@ -165,11 +166,13 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--export-empirical", default=None, metavar="CSV",
                        help="write paths as synthetic indices in generic_csv format")
     p_sim.add_argument("--memory-budget-mb", type=int, default=1024,
-                       help="step-buffer budget in MiB, an upper bound on the path "
-                            "chunking: paths run in near-equal chunks of at most 256, and "
-                            "the budget counts 16 bytes a step per path, so at 15120 steps "
-                            "it binds only below ~74 MiB; no chunking changes a path "
-                            "(default %(default)s)")
+                       help="memory budget in MiB. It bounds the path chunking: paths "
+                            "run in near-equal chunks of at most 256, and the budget counts "
+                            "16 bytes a step per path, so at 15120 steps it binds only below "
+                            "~74 MiB; no chunking changes a path. A run whose kept day "
+                            "arrays (16 bytes per path and day: t_day..t_day + k_max, or "
+                            "every day with --dump-paths or --export-empirical) exceed it "
+                            "stops before it starts (default %(default)s)")
     _add_output_flags(p_sim)
 
     p_cmp = subs.add_parser("compare",
@@ -386,7 +389,10 @@ def cmd_simulate(args) -> int:
     if t_day + args.k_max > args.days:
         raise ContractError(
             f"t_day + k_max = {t_day + args.k_max} exceeds horizon {args.days}")
-    batch = sim.simulate_paths(params, curve, config)
+    # the estimates read days t_day..t_day + k_max; the path files need every day
+    files = args.dump_paths or args.export_empirical
+    days = None if files else range(t_day, t_day + args.k_max + 1)
+    batch = sim.simulate_paths(params, curve, config, days=days)
 
     rows = [sim.estimate_zumbach_mc(batch, t_day, int(k)) for k in ks]
     moments = sim.estimate_moments_mc(batch, t_day)

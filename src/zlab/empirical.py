@@ -426,13 +426,24 @@ def winsorize(series: DailySeries, quantile: float) -> DailySeries:
         n_dropped=series.n_dropped)
 
 
+def _check_every_day(batch) -> None:
+    """Raise ``ContractError`` unless the batch keeps every day of its horizon."""
+    days, horizon = batch.days, batch.config.n_days
+    if days != range(1, horizon + 1):
+        raise ContractError(
+            f"the series need every day; the batch keeps days "
+            f"{days.start}..{days.stop - 1} of {horizon}")
+
+
 def series_from_batch(batch, start_date="2000-01-03", prefix="SIM") -> list[DailySeries]:
     """Wrap simulated daily aggregates as synthetic index series.
 
     Each path becomes one index (consecutive synthetic dates), which gives
     the estimators model-generated input with known dynamics.  The series'
-    r and s2 are views of the batch's rows, not copies.
+    r and s2 are views of the batch's rows, not copies.  The batch must
+    hold every day of its horizon (``PathBatch.days``).
     """
+    _check_every_day(batch)
     n_paths, n_days = batch.r.shape
     base = np.datetime64(start_date, "D")
     dates = base + np.arange(n_days)

@@ -42,10 +42,11 @@ plus xi0) into its rows of the step array, and each step then makes four
 numpy calls across the chunk's paths: one einsum for the intra-block sum
 with the step's inter-block term added last (weight 1), and the clip, root
 and scaling that turn dB into the kernel source.  The rest runs once per
-block: the r terms sqrt(V+) dW (the root goes into z1's buffer, which is
-free once dB is formed), the s2 terms, their day sums, and the day-start
-sums, one sequential accumulate over the block's day starts (at most 64 at
-a time) that adds each day's paths in index order.
+block: on all its steps, the negative-state count and the day-start sums,
+one sequential accumulate over the block's day starts (at most 64 at a
+time) that adds each day's paths in index order; and, on its steps inside
+the kept days only, the r terms sqrt(V+) dW (the root goes into z1's
+buffer, which is free once dB is formed), the s2 terms and their day sums.
 
 Memory: a chunk holds one step-major (step, path) array, dW until its block
 runs, then the block's inter-block terms, and then the kernel source
@@ -55,10 +56,16 @@ the day-start sums two of at most 64 rows.  Each path draws its stream
 once: z0, the first n normals, straight into its column of the step array
 as dW; its generator then stays at z1, and each block draws its z1 when it
 runs.  Each chunk adds its day sums into its columns of the day-major
-outputs.  The n_steps x 256 weight table is shared by all chunks, and the
-cap keeps a chunk's step array no larger than it.  The budget counts two
-step-grid arrays per path, so at 15120 steps it binds only below ~74 MiB,
-its count for 256 paths.
+outputs, which hold only the kept days (``simulate_paths(..., days=)``):
+16 bytes per path and kept day, so an estimate at one day t and lags up to
+k_max needs k_max + 1 columns, not every day of the horizon.  Each kept
+day still adds its steps in step order from zero, so a kept value is the
+same bit whatever the window.  The n_steps x 256 weight table is shared by
+all chunks, and the cap keeps a chunk's step array no larger than it.  The
+budget bounds two things: the chunking, where it counts two step-grid
+arrays per path, so at 15120 steps it binds only below ~74 MiB, its count
+for 256 paths; and the kept day arrays, which must fit in it whole or the
+run raises ``MemoryGuardError`` before it allocates anything.
 
 Summation order: the inter-block part is one BLAS matrix product per block,
 of one shape, all earlier steps of >= _PRODUCT_ROWS paths against the
@@ -111,9 +118,10 @@ class SimConfig:
     (``chunk_paths``).  The memory budget is an upper bound on top: it
     counts two step-grid arrays per path, although a chunk holds one plus a
     few (256, path) block buffers, so it binds only below ~74 MiB at 15120
-    steps.  Neither changes any output.  The convolution's weight table,
-    n_steps x 256 float64 values shared by all chunks, sits outside the
-    budget.
+    steps.  Neither changes any output.  ``simulate_paths`` also refuses a
+    run whose kept day arrays (16 bytes per path and kept day) exceed the
+    budget.  The convolution's weight table, n_steps x 256 float64 values
+    shared by all chunks, sits outside the budget.
     """
 
     n_paths: int
@@ -165,11 +173,16 @@ class SimConfig:
 class PathBatch:
     """Daily aggregates of a simulation run.
 
-    r, s2           : (n_paths, n_days) arrays of daily returns and
+    r, s2           : (n_paths, len(days)) arrays of daily returns and
                       integrated variances (s2 >= 0 by the truncation scheme),
-                      transposed views of day-major (n_days, n_paths) arrays.
+                      transposed views of day-major (len(days), n_paths)
+                      arrays; column j holds calendar day days.start + j.
+    days            : the kept 1-based calendar days, a step-1 range;
+                      every day of the horizon unless the run asked for
+                      fewer.
     v_day_mean/_se  : cross-path mean of the raw (untruncated) variance state
-                      at each day start, with its standard error.
+                      at each day start of the horizon (every day, whatever
+                      ``days``), with its standard error.
     neg_fraction    : fraction of steps where the recursion went negative
                       before truncation (diagnostic).
     weight_checksum : CRC-32 of the kernel weight table used.
@@ -182,6 +195,11 @@ class PathBatch:
     neg_fraction: float
     v_day_mean: np.ndarray = field(repr=False, default=None)
     v_day_se: np.ndarray = field(repr=False, default=None)
+    days: range = None
+
+    def __post_init__(self) -> None:
+        if self.days is None:
+            object.__setattr__(self, "days", range(1, self.config.n_days + 1))
 
 
 @dataclass(frozen=True)
@@ -260,7 +278,7 @@ def _add_day_starts(states, xi, day, dev_rows, sq_rows, dev_sum, dev_sumsq):
     dev_sumsq[days] = sq[:, -1]
 
 
-def _simulate_chunk(xi_step, w_rev, table, config, params, lo, hi, day_r, day_s2,
+def _simulate_chunk(xi_step, w_rev, table, config, params, lo, hi, days, day_r, day_s2,
                     dev_sum, dev_sumsq):
     n = config.n_steps()
     n_chunk = hi - lo
@@ -302,6 +320,8 @@ def _simulate_chunk(xi_step, w_rev, table, config, params, lo, hi, day_r, day_s2
     sq_rows = np.empty((n_starts, n_chunk + 1))
     r_out = day_r[:, lo:hi]
     s2_out = day_s2[:, lo:hi]
+    # the kept days' steps; only they form r and s2 terms
+    s_lo, s_hi = (days.start - 1) * spd, (days.stop - 1) * spd
     neg = 0
 
     # overflowing states are caught by the finiteness guard below; numpy's
@@ -353,23 +373,28 @@ def _simulate_chunk(xi_step, w_rev, table, config, params, lo, hi, day_r, day_s2
                 _add_day_starts(v_all[b0::spd][:_DAY_ROWS], xi_step[i0 + b0:hi_blk:spd],
                                 (i0 + b0) // spd, dev_rows, sq_rows, dev_sum, dev_sumsq)
             neg += int(np.count_nonzero(v_all < 0.0))
-            np.maximum(v_all, 0.0, out=v_all)
+            a, b = max(s_lo - i0, 0), min(s_hi - i0, width)
+            if a >= b:
+                continue
+            v_pos = v_all[a:b]
+            np.maximum(v_pos, 0.0, out=v_pos)
             # the r terms sqrt(V+) dW; the root goes into z1's buffer, free
-            # once dB is formed, laid out (step, path) like v_all
-            root = np.sqrt(v_all, out=z_blk.reshape(-1)[:v_all.size].reshape(v_all.shape))
-            d_w *= root
-            _add_by_day(r_out, d_w, i0, spd)
-            v_all *= dt  # the s2 terms V+ dt
-            _add_by_day(s2_out, v_all, i0, spd)
+            # once dB is formed, laid out (step, path) like v_pos
+            root = np.sqrt(v_pos, out=z_blk.reshape(-1)[:v_pos.size].reshape(v_pos.shape))
+            r_terms = d_w[a:b]
+            r_terms *= root
+            _add_by_day(r_out, r_terms, i0 + a - s_lo, spd)
+            v_pos *= dt  # the s2 terms V+ dt
+            _add_by_day(s2_out, v_pos, i0 + a - s_lo, spd)
     return neg
 
 
 def simulate_paths(params: ModelParams, curve: ForwardVarianceCurve,
-                   config: SimConfig) -> PathBatch:
+                   config: SimConfig, *, days: range | None = None) -> PathBatch:
     """Generate daily return / integrated-variance aggregates.
 
     Bit-identical for a fixed (config, params, curve) and build, whatever the
-    chunking or memory budget (see the module notes).
+    chunking, memory budget or day window (see the module notes).
     The cross-path mean of the raw variance state equals xi0(t) in
     expectation at every grid time (the stochastic term is a martingale
     increment sum), which ``v_day_mean`` tracks per day start.
@@ -380,7 +405,31 @@ def simulate_paths(params: ModelParams, curve: ForwardVarianceCurve,
         path V = xi0 exactly.
     config : SimConfig
         Grid, seed and resource controls.
+    days : range, optional
+        The 1-based calendar days whose r and s2 the batch keeps, a
+        non-empty step-1 range inside 1..n_days; None keeps every day.
+        The paths, ``neg_fraction`` and the day-start statistics do not
+        depend on it.
+
+    Raises ``MemoryGuardError``, before anything is allocated, when the
+    kept day arrays, 16 bytes per path and kept day, exceed
+    ``config.memory_budget_mb`` MiB.
     """
+    n_days = config.n_days
+    if days is None:
+        days = range(1, n_days + 1)
+    if (not isinstance(days, range) or days.step != 1 or not days
+            or days.start < 1 or days.stop > n_days + 1):
+        raise ContractError(
+            f"days must be a non-empty step-1 range inside 1..{n_days}, got {days!r}")
+    npaths = config.n_paths
+    day_bytes = 16 * npaths * len(days)
+    if day_bytes > config.memory_budget_mb * 2**20:
+        raise MemoryGuardError(
+            f"the day arrays of {npaths} paths x {len(days)} kept days take "
+            f"{day_bytes / 2**20:.0f} MiB, over the {config.memory_budget_mb} MiB budget; "
+            f"keep fewer days or raise the budget")
+
     w = precompute_kernel_weights(params, config)
     n = config.n_steps()
     # row n - j holds w[j .. j + _BLOCK_STEPS - 1] (zero-padded), so block i0
@@ -397,17 +446,16 @@ def simulate_paths(params: ModelParams, curve: ForwardVarianceCurve,
     if xi_step.ndim == 0:
         xi_step = np.full(n, float(xi_step))
 
-    # day-major: each chunk adds its day sums into its columns
-    npaths = config.n_paths
-    day_r = np.zeros((config.n_days, npaths))
-    day_s2 = np.zeros((config.n_days, npaths))
-    dev_sum = np.zeros(config.n_days)
-    dev_sumsq = np.zeros(config.n_days)
+    # day-major, kept days only: each chunk adds its day sums into its columns
+    day_r = np.zeros((len(days), npaths))
+    day_s2 = np.zeros((len(days), npaths))
+    dev_sum = np.zeros(n_days)
+    dev_sumsq = np.zeros(n_days)
     chunk = config.chunk_paths()
     neg = 0
     for lo in range(0, npaths, chunk):
         neg += _simulate_chunk(xi_step, w_rev, table, config, params, lo,
-                               min(lo + chunk, npaths), day_r, day_s2,
+                               min(lo + chunk, npaths), days, day_r, day_s2,
                                dev_sum, dev_sumsq)
 
     dev_mean = dev_sum / npaths
@@ -418,7 +466,7 @@ def simulate_paths(params: ModelParams, curve: ForwardVarianceCurve,
         r=day_r.T, s2=day_s2.T, config=config,
         weight_checksum=zlib.crc32(w.tobytes()),
         neg_fraction=neg / (npaths * n),
-        v_day_mean=v_mean, v_day_se=v_se)
+        v_day_mean=v_mean, v_day_se=v_se, days=days)
 
 
 def _centered(x: np.ndarray) -> np.ndarray:
@@ -429,11 +477,12 @@ def _centered(x: np.ndarray) -> np.ndarray:
 
 
 def _check_day(batch: PathBatch, t_day: int, k: int = 0) -> None:
-    if t_day < 1:
-        raise ContractError(f"t_day must be >= 1, got {t_day}")
-    if t_day + k > batch.config.n_days:
+    # the kept days lie inside 1..n_days, so this also bounds t_day by the horizon
+    days = batch.days
+    if t_day < days.start or t_day + k >= days.stop:
         raise ContractError(
-            f"need t_day + k <= n_days, got {t_day} + {k} > {batch.config.n_days}")
+            f"the batch keeps days {days.start}..{days.stop - 1}, which must hold "
+            f"t_day = {t_day} and t_day + k = {t_day + k}")
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
@@ -446,6 +495,9 @@ def _mean_se(x: np.ndarray) -> tuple[float, float]:
 def estimate_zumbach_mc(batch: PathBatch, t_day: int, k: int) -> tuple[float, float]:
     """Sample estimate of the lag-k asymmetry at calendar day t_day (1-based).
 
+    The batch must keep days t_day..t_day + k (``PathBatch.days``); day t
+    is its column t - days.start.
+
     Returns (estimate, standard_error).  The statistic is the difference of
     the two cross-path covariances Cov[r_t^2, s2_{t+k}] - Cov[r_{t+k}^2, s2_t]
     (population divisor, both legs centred); it coincides with the
@@ -457,18 +509,23 @@ def estimate_zumbach_mc(batch: PathBatch, t_day: int, k: int) -> tuple[float, fl
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
     _check_day(batch, t_day, k)
-    a = _centered(batch.r[:, t_day - 1] ** 2)
-    b = _centered(batch.s2[:, t_day + k - 1])
-    c = _centered(batch.r[:, t_day + k - 1] ** 2)
-    d = _centered(batch.s2[:, t_day - 1])
+    t, tk = t_day - batch.days.start, t_day + k - batch.days.start
+    a = _centered(batch.r[:, t] ** 2)
+    b = _centered(batch.s2[:, tk])
+    c = _centered(batch.r[:, tk] ** 2)
+    d = _centered(batch.s2[:, t])
     return _mean_se(a * b - c * d)
 
 
 def estimate_moments_mc(batch: PathBatch, t_day: int) -> MomentEstimates:
-    """Sample Var[s2] and E[r^4] at day t_day with standard errors."""
+    """Sample Var[s2] and E[r^4] at day t_day with standard errors.
+
+    The batch must keep day t_day (``PathBatch.days``).
+    """
     _check_day(batch, t_day)
-    var_s2, var_s2_se = _mean_se(_centered(batch.s2[:, t_day - 1]) ** 2)
-    r4, r4_se = _mean_se(batch.r[:, t_day - 1] ** 4)
+    t = t_day - batch.days.start
+    var_s2, var_s2_se = _mean_se(_centered(batch.s2[:, t]) ** 2)
+    r4, r4_se = _mean_se(batch.r[:, t] ** 4)
     return MomentEstimates(var_sigma2=var_s2, var_sigma2_se=var_s2_se,
                            fourth_moment_r=r4, fourth_moment_r_se=r4_se)
 
@@ -481,8 +538,10 @@ def export_daily_csv(batch: PathBatch, fileobj=None, series_fileobj=None) -> Non
     writes ``empirical.series_from_batch(batch)``.  Numbers are written as
     ``%.17g``; each path's numbers are formatted once for the files given
     (``empirical._format_rows``), and each file gets the path's block in one
-    ``write`` call before the next path is formatted.
+    ``write`` call before the next path is formatted.  The batch must hold
+    every day of its horizon, which is checked before anything is written.
     """
+    emp._check_every_day(batch)
     days = [f"{day}," for day in range(1, batch.r.shape[1] + 1)]
     files = [fh for fh in (fileobj, series_fileobj) if fh is not None]
     if fileobj is not None:

@@ -45,7 +45,9 @@ def report(name: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def big_batch():
     t0 = time.monotonic()
-    batch = simulate_paths(SEC4, FLAT, MC_CONFIG)
+    # the criteria read days MC_T_DAY..MC_T_DAY + 10 and the day-start
+    # statistics, which cover every day whatever the window
+    batch = simulate_paths(SEC4, FLAT, MC_CONFIG, days=range(MC_T_DAY, MC_T_DAY + 11))
     # ru_maxrss (KiB on Linux) is the test process's peak so far, this run included
     peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"\n[acceptance MC: {MC_CONFIG.n_paths} paths x {MC_CONFIG.n_steps()} steps "

@@ -242,6 +242,26 @@ class TestSimulateCommand:
         assert "--antithetic" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_estimates_do_not_depend_on_path_files(self, tmp_path, monkeypatch):
+        # without path files the run keeps days t_day..t_day + k_max only,
+        # and its estimate files are byte-identical to those of a run that
+        # keeps every day to write them
+        kept = []
+        run_paths = sim.simulate_paths
+
+        def recording(*args, days=None):
+            kept.append(days)
+            return run_paths(*args, days=days)
+
+        monkeypatch.setattr(sim, "simulate_paths", recording)
+        plain, dumped = tmp_path / "plain", tmp_path / "dumped"
+        assert main([*SIM_SMALL, "--format", "json", "-o", str(plain)]) == 0
+        assert main([*SIM_SMALL, "--format", "json", "-o", str(dumped),
+                     "--dump-paths", str(dumped / "paths.csv")]) == 0
+        assert kept == [range(15, 19), None]
+        for name in ("zumbach_mc.json", "moments_mc.json"):
+            assert (plain / name).read_bytes() == (dumped / name).read_bytes(), name
+
     def test_horizon_guard(self, tmp_path, monkeypatch):
         # checked before the run: a simulation that starts fails the test
         def no_run(*args, **kw):

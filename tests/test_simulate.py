@@ -88,6 +88,34 @@ class TestConfig:
             SimConfig(n_paths=1, steps_per_day=1000, n_days=10000,
                       memory_budget_mb=1)
 
+    def test_memory_guard_counts_the_day_arrays(self):
+        import tracemalloc
+
+        # 20 000 paths x 100 days take 30.5 MiB of day arrays: over 1 MiB,
+        # the run stops before it allocates anything; two kept days take
+        # 0.6 MiB and run
+        cfg = SimConfig(n_paths=20_000, steps_per_day=1, n_days=100,
+                        memory_budget_mb=1)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(MemoryGuardError, match="days"):
+                simulate_paths(MILD, FLAT, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        batch = simulate_paths(MILD, FLAT, cfg, days=range(50, 52))
+        assert batch.r.shape == (20_000, 2)
+
+    def test_day_window_validation(self):
+        cfg = SimConfig(n_paths=2, steps_per_day=2, n_days=10)
+        for days in (range(0, 3), range(5, 12), range(4, 4), range(1, 10, 2),
+                     [1, 2], (1, 3)):
+            with pytest.raises(ContractError, match="days"):
+                simulate_paths(MILD, FLAT, cfg, days=days)
+
 
 class TestKernelWeights:
     def test_alpha_one_closed_form(self):
@@ -233,6 +261,75 @@ class TestReproducibility:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert a.neg_fraction == b.neg_fraction
         assert a.weight_checksum == b.weight_checksum
+
+    @pytest.mark.parametrize("budget_mb", [1024, 1])
+    def test_day_window_keeps_every_bit(self, budget_mb):
+        # 560 steps at 7 a day: days 37 and 74 straddle the block edges at
+        # steps 256 and 512.  A window keeps the full run's columns bit for
+        # bit, at one chunk of 200 and at chunks of 93, 93 and 14, and
+        # leaves the day-start statistics, the negative-state count and the
+        # weights as they are
+        cfg = SimConfig(n_paths=200, steps_per_day=7, n_days=80, seed=21,
+                        memory_budget_mb=budget_mb)
+        full = simulate_paths(SEC4, FLAT, cfg)
+        assert full.days == range(1, 81)
+        assert full.neg_fraction > 0.0
+        for days in (range(37, 75), range(37, 38), range(74, 75), range(5, 9),
+                     range(75, 81), range(1, 81)):
+            win = simulate_paths(SEC4, FLAT, cfg, days=days)
+            assert win.days == days
+            assert win.r.shape == win.s2.shape == (200, len(days))
+            cols = slice(days.start - 1, days.stop - 1)
+            assert np.array_equal(win.r, full.r[:, cols]), days
+            assert np.array_equal(win.s2, full.s2[:, cols]), days
+            for name in ("v_day_mean", "v_day_se"):
+                assert np.array_equal(getattr(win, name), getattr(full, name)), (days, name)
+            assert win.neg_fraction == full.neg_fraction
+            assert win.weight_checksum == full.weight_checksum
+
+    def test_day_window_estimates_bitwise(self):
+        # the estimators read day t from column t - days.start: a window of
+        # days t..t + k_max gives the full run's estimates bit for bit
+        cfg = SimConfig(n_paths=200, steps_per_day=7, n_days=80, seed=21)
+        full = simulate_paths(SEC4, FLAT, cfg)
+        win = simulate_paths(SEC4, FLAT, cfg, days=range(36, 42))
+        for k in range(1, 6):
+            assert estimate_zumbach_mc(win, 36, k) == estimate_zumbach_mc(full, 36, k), k
+        for t in range(36, 42):
+            assert estimate_moments_mc(win, t) == estimate_moments_mc(full, t), t
+
+    def test_day_window_holds_only_its_outputs(self):
+        import tracemalloc
+
+        from zlab.simulate import _BLOCK_STEPS
+
+        # the grid of test_peak_memory_is_one_capped_chunk with three kept
+        # days: the traced peak has room for one chunk's step array, the
+        # table and the window's outputs, not the full outputs, and falls
+        # by about the day arrays the window leaves out.  A small run first
+        # makes the allocations a first run keeps (~0.8 MB), so that
+        # neither measured run holds them
+        simulate_paths(MILD, FLAT, SimConfig(n_paths=8, steps_per_day=128, n_days=3))
+        cfg = SimConfig(n_paths=1100, steps_per_day=128, n_days=96, seed=3)
+        assert cfg.chunk_paths() == 220
+        days = range(40, 43)
+        n = cfg.n_steps()
+        step_array = 220 * n * 8
+        table = n * _BLOCK_STEPS * 8
+        outputs = 2 * cfg.n_paths * len(days) * 8
+        full_outputs = 2 * cfg.n_paths * cfg.n_days * 8
+        peaks = {}
+        for kept in (days, None):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                simulate_paths(MILD, FLAT, cfg, days=kept)
+                peaks[kept] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peaks[days] <= 1.25 * step_array + table + outputs
+        assert peaks[None] - peaks[days] >= 0.9 * (full_outputs - outputs)
 
     def test_seed_changes_output(self):
         base = SimConfig(n_paths=8, steps_per_day=4, n_days=6, seed=7)
@@ -665,6 +762,18 @@ class TestEstimators:
         with pytest.raises(ContractError):
             estimate_moments_mc(batch, 6)
 
+    def test_day_bounds_name_the_kept_days(self):
+        cfg = SimConfig(n_paths=4, steps_per_day=2, n_days=20, seed=3)
+        batch = simulate_paths(SEC4, FLAT, cfg, days=range(8, 12))
+        estimate_zumbach_mc(batch, 8, 3)
+        estimate_moments_mc(batch, 11)
+        for t_day, k in ((7, 1), (8, 4), (11, 1)):
+            with pytest.raises(ContractError, match="keeps days 8..11"):
+                estimate_zumbach_mc(batch, t_day, k)
+        for t_day in (7, 12):
+            with pytest.raises(ContractError, match="keeps days 8..11"):
+                estimate_moments_mc(batch, t_day)
+
     def test_estimator_matches_numpy_covariances(self):
         batch = simulate_paths(SEC4, FLAT, SimConfig(n_paths=500, steps_per_day=2, n_days=10, seed=3))
         est, _ = estimate_zumbach_mc(batch, 4, 2)
@@ -704,6 +813,17 @@ class TestDiagnostics:
         assert first[0] == "0" and first[1] == "1"
         assert float(first[2]) == batch.r[0, 0]
         assert float(first[3]) == batch.s2[0, 0]
+
+    def test_path_writers_need_every_day(self):
+        # a windowed batch has no whole paths to write; nothing is written
+        cfg = SimConfig(n_paths=3, steps_per_day=2, n_days=9, seed=5)
+        batch = simulate_paths(SEC4, FLAT, cfg, days=range(2, 10))
+        dump, series = io.StringIO(), io.StringIO()
+        with pytest.raises(ContractError, match="keeps days 2..9 of 9"):
+            export_daily_csv(batch, dump, series)
+        assert dump.getvalue() == series.getvalue() == ""
+        with pytest.raises(ContractError, match="keeps days 2..9 of 9"):
+            series_from_batch(batch)
 
     def test_export_csv_matches_per_row_oracle(self):
         # a per-row writer: the byte-level reference
